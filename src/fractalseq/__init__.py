@@ -13,8 +13,8 @@ from .seqcore import (AnnotatedTerm, FractalCheck, InitialSegment, SegmentKind,
                       classify_initial_segment, lower_trim, occurrence_index,
                       parse_terms, rank_stream, upper_trim)
 from .signature import (ExactNumber, Surd, brute_force_signature,
-                        compare_affine, format_theta, generate_signature,
-                        parse_theta, signature_terms)
+                        compare_affine, generate_signature, parse_theta,
+                        signature_terms)
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,8 @@ __all__ = [
     "classify_initial_segment", "compare_affine", "construct_ones",
     "construct_ramp", "construct_ramp_state", "enumerate_ramp",
     "extend_next_block", "extend_second_block", "first_divergence",
-    "format_theta", "generate_signature", "init_ramp", "lower_trim",
-    "merge_seams", "needs_branch", "occurrence_index", "parse_terms",
-    "parse_theta", "rank_stream", "seam_above", "seam_below",
-    "seed_interval", "signature_terms", "theta_interval_from_prefix",
-    "upper_trim",
+    "generate_signature", "init_ramp", "lower_trim", "merge_seams",
+    "needs_branch", "occurrence_index", "parse_terms", "parse_theta",
+    "rank_stream", "seam_above", "seam_below", "seed_interval",
+    "signature_terms", "theta_interval_from_prefix", "upper_trim",
 ]

@@ -12,7 +12,6 @@ error (malformed theta, bad counts, unreadable input).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -29,10 +28,12 @@ _DEFAULT_MAX_TERMS = 10 ** 6
 
 def _max_terms() -> int:
     raw = os.environ.get("FRACTALSEQ_MAX_TERMS", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MAX_TERMS
-    except ValueError:
+    if not raw:
         return _DEFAULT_MAX_TERMS
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"FRACTALSEQ_MAX_TERMS: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -94,27 +95,23 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     terms = generate_signature(theta, args.count)
+    out = sys.stdout
     if args.json:
-        for h, t in enumerate(terms, start=1):
-            print(json.dumps({"index": h, "value": t.value, "rank": t.rank},
-                             separators=(",", ":")))
+        out.writelines(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
+                       for h, (v, r) in enumerate(terms, start=1))
     elif args.bfile:
-        for h, t in enumerate(terms, start=1):
-            print(f"{h} {t.value}")
+        out.writelines(f"{h} {v}\n" for h, (v, _) in enumerate(terms, start=1))
     elif args.ranks:
-        for t in terms:
-            print(f"{t.value} {t.rank}")
+        out.writelines(f"{v} {r}\n" for v, r in terms)
     else:
-        for t in terms:
-            print(t.value)
+        out.writelines(f"{v}\n" for v, _ in terms)
     return 0
 
 
 def _cmd_trim(args) -> int:
     terms = _read_terms(args.input)
     out = upper_trim(terms) if args.upper else lower_trim(terms)
-    for t in out:
-        print(t)
+    sys.stdout.writelines(f"{t}\n" for t in out)
     return 0
 
 
@@ -146,8 +143,7 @@ def _cmd_construct(args) -> int:
     terms = state.terms
     if args.type2:
         terms = construct_ones(args.n, len(state.terms), branches)
-    for t in terms:
-        print(t)
+    sys.stdout.writelines(f"{t}\n" for t in terms)
     return 0
 
 

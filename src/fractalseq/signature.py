@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from heapq import heappop, heappush
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, Union
 
 from .seqcore import AnnotatedTerm
@@ -185,55 +185,53 @@ def compare_with_rational(theta: ExactNumber, r: Fraction) -> int:
 # Generation
 
 
+def _floor_times(x: int, theta: ExactNumber) -> int:
+    """Exact floor(x*theta) for an integer x >= 1."""
+    if isinstance(theta, Fraction):
+        return x * theta.numerator // theta.denominator
+    # x*b*sqrt(d) is irrational for x >= 1: its floor is isqrt(x*x*b*b*d)
+    # for b > 0 and -isqrt(x*x*b*b*d) - 1 for b < 0.
+    r = math.isqrt(x * x * theta.b * theta.b * theta.d)
+    return (x * theta.a + (r if theta.b > 0 else -r - 1)) // theta.c
+
+
 def signature_terms(theta) -> Iterator[AnnotatedTerm]:
     """Yield (value, rank) pairs of the signature of theta, lazily.
 
-    Frontier discipline: the heap holds one candidate per active rank
-    row; popping (i, j) pushes (i+1, j), and popping (1, j) additionally
-    opens row j+1 with (1, j+1).  The j-component of each popped pair is
-    already the occurrence rank of its i-component.
+    Block view: block j is the term (1, j) followed by one term
+    (m+1, j-k) per pair (m, k) with 0 <= k < j and key m - k*theta in
+    (0, theta], since (m+1) + (j-k)*theta = 1 + j*theta + key.  The
+    pairs go in key order, equal keys (rational theta only) larger m
+    first.  Keys do not depend on j, so block j+1 is block j plus row
+    k = j: the m in (floor(j*theta), floor((j+1)*theta)].  Within a row
+    the keys are t - f for t = 1, 2, ... and f the fractional part of
+    k*theta, so every t-th pair precedes every (t+1)-th one, and the
+    t-th pairs keep the order of their rows' first keys.  The rows are
+    kept sorted by first key and a block is emitted as one pass over
+    them per t, so the work before any term is bounded by its block
+    number however large theta is.
     """
     theta = as_exact(theta)
     _require_positive(theta)
-    if isinstance(theta, Fraction):
-        return _rational_terms(theta.numerator, theta.denominator)
-    return _surd_terms(theta)
+    by_key = cmp_to_key(lambda u, v: (compare_affine(u[0], -u[1], v[0], -v[1], theta)
+                                      or v[0] - u[0]))
+    width = _floor_times(1, theta) + 1  # no row holds more pairs
 
+    def blocks() -> Iterator[AnnotatedTerm]:
+        rows: list[tuple[int, int, int]] = []  # (first m, k, last m), by first key
+        lo = 0
+        for j in count(1):
+            hi = _floor_times(j, theta)
+            if hi > lo:
+                insort(rows, (lo + 1, j - 1, hi), key=by_key)
+            lo = hi
+            yield AnnotatedTerm(1, j)
+            for t in range(width):
+                for m, k, last in rows:
+                    if m + t <= last:
+                        yield AnnotatedTerm(m + t + 1, j - k)
 
-def _rational_terms(p: int, q: int) -> Iterator[AnnotatedTerm]:
-    # Key (i*q + j*p, -i): exact value order, ties emit the larger i first.
-    heap = [(q + p, -1, 1, 1)]
-    while True:
-        _, _, i, j = heappop(heap)
-        yield AnnotatedTerm(i, j)
-        heappush(heap, ((i + 1) * q + j * p, -(i + 1), i + 1, j))
-        if i == 1:
-            heappush(heap, (q + (j + 1) * p, -1, 1, j + 1))
-
-
-def _surd_terms(theta: Surd) -> Iterator[AnnotatedTerm]:
-    a, b, c, d = theta.a, theta.b, theta.c, theta.d
-
-    class Entry:
-        __slots__ = ("i", "j")
-
-        def __init__(self, i: int, j: int) -> None:
-            self.i, self.j = i, j
-
-        def __lt__(self, other: "Entry") -> bool:
-            de, df = self.i - other.i, self.j - other.j
-            s = surd_sign(de * c + df * a, df * b, d)
-            if s:
-                return s < 0
-            return self.i > other.i  # unreachable for irrational theta
-
-    heap = [Entry(1, 1)]
-    while True:
-        e = heappop(heap)
-        yield AnnotatedTerm(e.i, e.j)
-        heappush(heap, Entry(e.i + 1, e.j))
-        if e.i == 1:
-            heappush(heap, Entry(1, e.j + 1))
+    return blocks()
 
 
 def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
@@ -243,15 +241,6 @@ def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     return list(islice(signature_terms(theta), n_terms))
 
 
-def _integer_bound_above(theta: ExactNumber) -> int:
-    """Some integer >= theta; looseness is harmless here."""
-    if isinstance(theta, Fraction):
-        return max(1, math.ceil(theta))
-    root = math.isqrt(theta.d) + 1
-    num = theta.a + theta.b * (root if theta.b > 0 else math.isqrt(theta.d))
-    return max(1, num // theta.c + 1)
-
-
 def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     """Independent oracle: enumerate a value box, sort, take a prefix.
 
@@ -259,13 +248,13 @@ def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     grown until the box holds at least ``n_terms`` pairs; anything
     outside the box exceeds V, so the sorted prefix is complete.  The
     sort uses :func:`compare_affine` with the same tie rule as the lazy
-    generator but shares none of its frontier machinery.
+    generator but shares none of its block machinery.
     """
     theta = as_exact(theta)
     _require_positive(theta)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    V = _integer_bound_above(theta) + 2
+    V = _floor_times(1, theta) + 3  # any start above theta; V doubles until full
     while True:
         pairs: list[tuple[int, int]] = []
         j = 1
@@ -335,7 +324,3 @@ def parse_theta(text: str) -> ExactNumber:
         raise ValueError(f"theta must be positive: {text!r}")
     return value
 
-
-def format_theta(theta: ExactNumber) -> str:
-    """Render an ExactNumber in a form parse_theta accepts."""
-    return str(theta)

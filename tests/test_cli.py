@@ -68,6 +68,16 @@ def test_generate_respects_cap(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+@pytest.mark.parametrize("argv", [["generate", "--theta", "2", "--count", "3"],
+                                  ["diverge", "sqrt(2)", "3/2"]])
+def test_malformed_max_terms_is_usage_error(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", raw)
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "FRACTALSEQ_MAX_TERMS" in err
+
+
 def test_generate_deterministic_bytes(capsys, monkeypatch):
     args = ["generate", "--theta", "(1+2*sqrt(5))/3", "--count", "50", "--json"]
     _, out1, _ = run_cli(capsys, monkeypatch, args)

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
-                        format_theta, generate_signature, parse_theta,
-                        signature_terms)
+                        generate_signature, parse_theta, signature_terms)
 from fractalseq.signature import compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
@@ -168,6 +167,14 @@ def test_brute_force_matches_golden_listings():
 def test_generator_equals_brute_force_on_mixed_sample():
     for theta in make_theta_sample(6, 6, seed=7):
         assert generate_signature(theta, 300) == brute_force_signature(theta, 300)
+    # Each of these runs past 20 blocks (a block starts at each 1), so
+    # block boundaries and the integer ties at (j+1)*theta are compared.
+    for theta, n in [(Fraction(3), 700), (Fraction(7, 2), 800),
+                     (Fraction(50), 10_000), (Fraction(1, 7), 300),
+                     (Surd.make(5, -1, 2, 2), 400)]:
+        expected = brute_force_signature(theta, n)
+        assert sum(t.value == 1 for t in expected) >= 20, theta
+        assert generate_signature(theta, n) == expected, theta
 
 
 def test_small_theta_brute_force_stays_cheap():
@@ -237,4 +244,4 @@ def test_parse_theta_rejects(text):
 
 def test_format_theta_round_trips():
     for theta in make_theta_sample(8, 8, seed=11):
-        assert parse_theta(format_theta(theta)) == theta
+        assert parse_theta(str(theta)) == theta
