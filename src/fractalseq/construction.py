@@ -30,8 +30,10 @@ offsets place it before).  A weave position is used only if it falls
 inside the developing block, between its leading 1 and its final n.
 
 Rather than trusting any of this blindly, every completed extension is
-re-validated with the doubly-fractal prefix checker and rejected loudly
-if it fails.
+validated and rejected loudly if it fails.  Each run keeps an
+incremental checker (:class:`~fractalseq.seqcore.PrefixChecker`) that
+checks only the terms a step added, so a step costs time linear in its
+block; the full prefix checker runs only to describe a failure.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .seqcore import annotate_ranks, check_doubly_fractal_prefix
+from .seqcore import PrefixChecker, check_doubly_fractal_prefix, rank_stream
 
 
 class Branch(Enum):
@@ -59,7 +61,10 @@ class ConstructionState:
 
     ``block_starts`` holds the 1-based index of each block's leading 1;
     ``fresh`` is always 1 + max(terms); ``branch_log`` records the
-    Branch taken at every genuine fork, in order.
+    Branch taken at every genuine fork, in order; ``checker`` has
+    validated the terms up to the last step.  Between steps ``terms``
+    only grows: editing terms that were already checked is outside the
+    contract, and the next step would not notice it.
     """
 
     n: int
@@ -67,6 +72,8 @@ class ConstructionState:
     block_starts: list[int]
     fresh: int
     branch_log: list[Branch] = field(default_factory=list)
+    checker: PrefixChecker = field(default_factory=PrefixChecker, repr=False,
+                                   compare=False)
 
     @property
     def blocks(self) -> int:
@@ -74,7 +81,7 @@ class ConstructionState:
 
     def clone(self) -> "ConstructionState":
         return ConstructionState(self.n, list(self.terms), list(self.block_starts),
-                                 self.fresh, list(self.branch_log))
+                                 self.fresh, list(self.branch_log), self.checker.copy())
 
 
 def init_ramp(n: int) -> ConstructionState:
@@ -173,16 +180,17 @@ def _merge_positions(below: Sequence[int], above: Sequence[int]):
     if above.count(1) != 1:
         raise ConstructionError(f"seam from above must contain exactly one 1: {list(above)}")
     common = [x for x in above if x != 1]
-    candidates = [k for k in range(len(below))
-                  if list(below[:k]) + list(below[k + 1:]) == common]
-    if not candidates:
+    # `below` must be `common` with one value inserted.  Where several
+    # slots would do, they hold one repeated value, caught just below.
+    k = next((i for i, (x, y) in enumerate(zip(below, common)) if x != y), len(common))
+    if len(below) != len(common) + 1 or list(below[k + 1:]) != common[k:]:
         raise ConstructionError(
             f"seam windows do not share a common order: {list(below)} vs {list(above)}")
-    fresh_value = below[candidates[0]]
+    fresh_value = below[k]
     if below.count(fresh_value) != 1:
         raise ConstructionError(
             f"fresh-class value {fresh_value} repeats in the seam: {list(below)}")
-    return common, candidates[0], above.index(1), fresh_value
+    return common, k, above.index(1), fresh_value
 
 
 def needs_branch(state: ConstructionState) -> bool:
@@ -286,8 +294,8 @@ def extend_next_block(state: ConstructionState,
 
 
 def _validate(state: ConstructionState, step: str) -> None:
-    report = check_doubly_fractal_prefix(state.terms)
-    if not report.ok:
+    if not state.checker.advance(state.terms):
+        report = check_doubly_fractal_prefix(state.terms)
         raise ConstructionError(
             f"{step} broke the doubly-fractal property at index "
             f"{report.first_violation_index} (upper_ok={report.upper_ok}, "
@@ -312,13 +320,14 @@ def _branch_feed(branches: BranchSpec):
         return lambda: Branch.ONE_FIRST
     if isinstance(branches, Branch):
         return lambda: branches
-    queue = list(branches)
+    feed = iter(branches)
 
     def supply() -> Branch:
-        if not queue:
+        choice = next(feed, None)
+        if choice is None:
             raise ConstructionError("branch list exhausted: the construction "
                                     "forked more often than choices were given")
-        return queue.pop(0)
+        return choice
 
     return supply
 
@@ -385,4 +394,4 @@ def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int
         extend_second_block(state)
     while len(state.terms) < length:
         extend_next_block(state, supply() if needs_branch(state) else None)
-    return [t.rank for t in annotate_ranks(state.terms[:length])]
+    return rank_stream(state.terms[:length])

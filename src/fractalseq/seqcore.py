@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class AnnotatedTerm(NamedTuple):
@@ -187,6 +187,55 @@ def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
         lower_ok=bad_lower is None,
         first_violation_index=min(violations) if violations else None,
     )
+
+
+class PrefixChecker:
+    """Incremental form of :func:`check_doubly_fractal_prefix`.
+
+    Each :meth:`advance` call is handed the whole growing list and
+    checks only the terms added since the previous call, so checking a
+    list term by term costs linear time in total.  ``upper`` and
+    ``lower`` index the next term of the list that the next repeated
+    value, and the next value above 1 lowered by 1, must equal.  The
+    list may only grow between calls.  Once a prefix fails, ``ok``
+    stays False, as every extension of a failing prefix fails too.
+    """
+
+    __slots__ = ("seen", "upper", "lower", "checked", "ok")
+
+    def __init__(self) -> None:
+        self.seen: set[int] = set()
+        self.upper = self.lower = self.checked = 0
+        self.ok = True
+
+    def advance(self, terms: Sequence[int]) -> bool:
+        """Check ``terms[self.checked:]``; True while the prefix passes."""
+        if not self.ok:
+            return False
+        seen, upper, lower = self.seen, self.upper, self.lower
+        for k in range(self.checked, len(terms)):
+            t = terms[k]
+            if t in seen:
+                if t != terms[upper]:
+                    self.ok = False
+                    return False
+                upper += 1
+            else:
+                seen.add(t)
+            if t > 1:
+                if t - 1 != terms[lower]:
+                    self.ok = False
+                    return False
+                lower += 1
+        self.upper, self.lower, self.checked = upper, lower, len(terms)
+        return True
+
+    def copy(self) -> "PrefixChecker":
+        twin = PrefixChecker()
+        twin.seen = set(self.seen)
+        twin.upper, twin.lower = self.upper, self.lower
+        twin.checked, twin.ok = self.checked, self.ok
+        return twin
 
 
 def parse_terms(text: str) -> list[int]:

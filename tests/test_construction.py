@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fractalseq import construction
 from fractalseq import (Branch, ConstructionError, annotate_ranks,
                         check_doubly_fractal_prefix, construct_ones,
                         construct_ramp, construct_ramp_state, enumerate_ramp,
@@ -136,6 +138,77 @@ def test_merge_rejects_repeated_fresh_value():
         merge_seams([7, 7], [1, 7])
 
 
+def quadratic_merge_positions(below, above):
+    """The merge rule as first written, kept as the oracle of the linear
+    one: try every slot of `below` for the fresh value."""
+    if any(x < 2 for x in below):
+        raise ConstructionError(f"seam from below contains a 1: {list(below)}")
+    if above.count(1) != 1:
+        raise ConstructionError(f"seam from above must contain exactly one 1: {list(above)}")
+    common = [x for x in above if x != 1]
+    candidates = [k for k in range(len(below))
+                  if list(below[:k]) + list(below[k + 1:]) == common]
+    if not candidates:
+        raise ConstructionError(
+            f"seam windows do not share a common order: {list(below)} vs {list(above)}")
+    fresh_value = below[candidates[0]]
+    if below.count(fresh_value) != 1:
+        raise ConstructionError(
+            f"fresh-class value {fresh_value} repeats in the seam: {list(below)}")
+    return common, candidates[0], above.index(1), fresh_value
+
+
+def merge_outcome(rule, below, above):
+    try:
+        return rule(below, above)
+    except ConstructionError as err:
+        return str(err)
+
+
+def assert_merge_matches_oracle(below, above):
+    assert (merge_outcome(construction._merge_positions, below, above)
+            == merge_outcome(quadratic_merge_positions, below, above)), (below, above)
+
+
+@given(st.lists(st.integers(1, 6), max_size=7), st.lists(st.integers(1, 6), max_size=7))
+def test_linear_merge_matches_oracle_on_arbitrary_windows(below, above):
+    assert_merge_matches_oracle(below, above)
+
+
+def test_linear_merge_matches_oracle_on_near_seams():
+    # Well-formed windows (common order plus one fresh value below and
+    # one 1 above), then the same with one defect each.
+    rng = random.Random(7)
+    for _ in range(3000):
+        common = rng.sample(range(2, 30), rng.randint(0, 10))
+        below, above = list(common), list(common)
+        below.insert(rng.randint(0, len(common)), rng.randint(2, 32))
+        above.insert(rng.randint(0, len(common)), 1)
+        defect = rng.randrange(6)
+        window = below if rng.random() < 0.5 else above
+        k = rng.randrange(len(window))
+        if defect == 1:
+            window.insert(k, window[k])
+        elif defect == 2:
+            del window[k]
+        elif defect == 3:
+            j = rng.randrange(len(window))
+            window[j], window[k] = window[k], window[j]
+        elif defect == 4:
+            window[k] = 1
+        elif defect == 5:
+            window[k] = rng.randint(2, 32)
+        assert_merge_matches_oracle(below, above)
+
+
+def test_linear_merge_matches_oracle_on_real_seams():
+    for n, blocks in [(2, 40), (4, 30), (7, 20)]:
+        state = construct_ramp_state(n, 2)
+        for _ in range(blocks):
+            assert_merge_matches_oracle(seam_below(state), seam_above(state))
+            extend_next_block(state, FRESH if needs_branch(state) else None)
+
+
 # --- full extension steps ------------------------------------------------------
 
 def test_steps_match_golden_run():
@@ -221,6 +294,43 @@ def test_upper_trim_peels_one_block():
     # Trimming the five-block run leaves its four-block prefix.
     four_blocks = construct_ramp(4, 4, RAMP4_BRANCHES)
     assert upper_trim(RAMP4_TERMS) == four_blocks[:len(upper_trim(RAMP4_TERMS))]
+
+
+def break_weave(monkeypatch, at_call):
+    """Make the `at_call`-th weave from now on swap its first two slots."""
+    real, calls = construction._weave, []
+
+    def weave(replay, n, offset):
+        out = real(replay, n, offset)
+        calls.append(offset)
+        if len(calls) == at_call:
+            out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(construction, "_weave", weave)
+
+
+@pytest.mark.parametrize("n,branches,message", [
+    (4, ONE, "block 8 broke the doubly-fractal property at index 92 "
+             "(upper_ok=True, lower_ok=False)"),
+    (3, FRESH, "block 8 broke the doubly-fractal property at index 64 "
+               "(upper_ok=False, lower_ok=False)"),
+    (5, None, "block 8 broke the doubly-fractal property at index 120 "
+              "(upper_ok=True, lower_ok=False)"),
+])
+def test_broken_block_is_rejected(monkeypatch, n, branches, message):
+    break_weave(monkeypatch, 6)   # the weave of block 8
+    with pytest.raises(ConstructionError) as err:
+        construct_ramp_state(n, 12, branches)
+    assert str(err.value) == message
+
+
+def test_clone_checks_its_own_blocks(monkeypatch):
+    state = ramp4_after(4)
+    extend_next_block(state.clone(), ONE if needs_branch(state) else None)
+    break_weave(monkeypatch, 1)
+    with pytest.raises(ConstructionError, match="block 5 broke"):
+        extend_next_block(state, ONE if needs_branch(state) else None)
 
 
 # --- branch enumeration ---------------------------------------------------------

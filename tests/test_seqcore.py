@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fractalseq import (AnnotatedTerm, SegmentKind, annotate_ranks,
+from fractalseq import (AnnotatedTerm, Branch, SegmentKind, annotate_ranks,
                         check_doubly_fractal_prefix, classify_initial_segment,
-                        lower_trim, occurrence_index, parse_terms, rank_stream,
-                        upper_trim)
+                        construct_ramp, lower_trim, occurrence_index,
+                        parse_terms, rank_stream, upper_trim)
+from fractalseq.seqcore import PrefixChecker
 
 from fixtures import RAMP4_TERMS, SQRT13_PREFIX
 
@@ -187,6 +188,69 @@ def test_check_empty_sequence():
 def test_check_prefixes_of_good_sequence_all_pass():
     for cut in range(len(RAMP4_TERMS) + 1):
         assert check_doubly_fractal_prefix(RAMP4_TERMS[:cut]).ok
+
+
+# --- incremental checker ---------------------------------------------------
+
+def assert_agrees_at_every_cut(seq, cuts):
+    """Grow one list to each cut in turn; after every advance the
+    incremental verdict equals the full checker's, and a failure sticks."""
+    checker, grown, failed = PrefixChecker(), [], False
+    for cut in cuts:
+        grown += seq[len(grown):cut]
+        ok = checker.advance(grown)
+        assert ok == check_doubly_fractal_prefix(grown).ok, cut
+        assert not (failed and ok), cut
+        failed = not ok
+
+
+def cuts_from_chunks(length, chunks):
+    cuts, at = [], 0
+    for size in chunks:
+        at = min(length, at + size)
+        cuts.append(at)
+    return cuts + [length]
+
+
+@given(st.lists(st.integers(1, 6), max_size=60), st.lists(st.integers(0, 8), max_size=30))
+def test_incremental_checker_agrees_on_small_lists(seq, chunks):
+    assert_agrees_at_every_cut(seq, cuts_from_chunks(len(seq), chunks))
+
+
+# Random lists rarely pass for long, so also feed a passing run with at
+# most one term changed.
+PASSING_RUN = construct_ramp(4, 11, Branch.FRESH_FIRST)[:200]
+
+
+@given(st.integers(0, len(PASSING_RUN) - 1), st.integers(1, 12),
+       st.lists(st.integers(0, 40), max_size=20))
+def test_incremental_checker_agrees_on_corrupted_runs(at, value, chunks):
+    seq = list(PASSING_RUN)
+    seq[at] = value
+    assert_agrees_at_every_cut(seq, cuts_from_chunks(len(seq), chunks))
+
+
+def test_incremental_checker_agrees_on_a_long_run():
+    rng = random.Random(150)
+    n = rng.randint(2, 6)
+    bits = [rng.choice(list(Branch)) for _ in range(150)]
+    seq = construct_ramp(n, 150, bits)
+    cuts = sorted(rng.sample(range(len(seq)), 25)) + [len(seq)]
+    assert_agrees_at_every_cut(seq, cuts)
+    assert check_doubly_fractal_prefix(seq).ok
+    broken = list(seq)
+    broken[cuts[12]] += 1
+    assert_agrees_at_every_cut(broken, cuts)
+    assert not check_doubly_fractal_prefix(broken).ok
+
+
+def test_incremental_checker_copy_is_independent():
+    checker = PrefixChecker()
+    checker.advance(RAMP4_TERMS[:20])
+    twin = checker.copy()
+    assert not twin.advance(RAMP4_TERMS[:20] + [9])
+    assert checker.ok and checker.checked == 20
+    assert checker.advance(RAMP4_TERMS)
 
 
 # --- text format -----------------------------------------------------------
