@@ -2,10 +2,10 @@
 constructions of doubly fractal sequences, and parameter recovery."""
 
 from .construction import (Branch, ConstructionError, ConstructionState,
-                           SeamMerge, construct_ones, construct_ramp,
-                           construct_ramp_state, enumerate_ramp,
-                           extend_next_block, extend_second_block, init_ramp,
-                           merge_seams, needs_branch, seam_above, seam_below)
+                           SeamMerge, construct_ones, construct_ramp_state,
+                           enumerate_ramp, extend_next_block,
+                           extend_second_block, init_ramp, merge_seams,
+                           needs_branch, seam_above, seam_below)
 from .inverse import (EMPTY_INTERVAL, ThetaInterval, first_divergence,
                       seed_interval, theta_interval_from_prefix)
 from .seqcore import (AnnotatedTerm, FractalCheck, InitialSegment, SegmentKind,
@@ -24,7 +24,7 @@ __all__ = [
     "SeamMerge", "SegmentKind", "Surd", "ThetaInterval", "annotate_ranks",
     "brute_force_signature", "check_doubly_fractal_prefix",
     "classify_initial_segment", "compare_affine", "construct_ones",
-    "construct_ramp", "construct_ramp_state", "enumerate_ramp",
+    "construct_ramp_state", "enumerate_ramp",
     "extend_next_block", "extend_second_block", "first_divergence",
     "generate_signature", "init_ramp", "lower_trim", "merge_seams",
     "needs_branch", "occurrence_index", "parse_terms", "parse_theta",

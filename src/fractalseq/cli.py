@@ -16,6 +16,7 @@ import os
 import sys
 from typing import Optional
 
+# construct_ones is unused here; perfbench/tracer.py looks up cli.construct_ones.
 from .construction import (Branch, ConstructionError, construct_ramp_state,
                            construct_ones, enumerate_ramp)
 from .inverse import first_divergence, theta_interval_from_prefix
@@ -139,10 +140,9 @@ def _cmd_construct(args) -> int:
             print(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}")
         return 0
 
-    state = construct_ramp_state(args.n, args.blocks, branches)
-    terms = state.terms
+    terms = construct_ramp_state(args.n, args.blocks, branches).terms
     if args.type2:
-        terms = construct_ones(args.n, len(state.terms), branches)
+        terms = rank_stream(terms)
     sys.stdout.writelines(f"{t}\n" for t in terms)
     return 0
 

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .seqcore import PrefixChecker, check_doubly_fractal_prefix, rank_stream
 
@@ -96,15 +97,7 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     n = state.n
     if state.blocks != 1 or state.terms != list(range(1, n + 1)):
         raise ConstructionError("second block can only follow the bare seed")
-    block: list[int] = []
-    for m in range(1, n):
-        block += [m, n + m]
-    block.append(n)
-    state.terms += block
-    state.block_starts.append(n + 1)
-    state.fresh = 2 * n
-    _validate(state, "second block")
-    return state
+    return _append_block(state, (), _weave_forward(state.terms, n, 1), "second block")
 
 
 def _last_index(terms: Sequence[int], value: int, before: Optional[int] = None) -> Optional[int]:
@@ -210,20 +203,14 @@ def merge_seams(below: Sequence[int], above: Sequence[int],
     """
     below, above = list(below), list(above)
     common, gap_fresh, gap_one, fresh_value = _merge_positions(below, above)
-    if gap_fresh == gap_one:
-        if branch is None:
-            raise ConstructionError("merge is ambiguous here: a Branch is required")
-        pair = [1, fresh_value] if branch is Branch.ONE_FIRST else [fresh_value, 1]
-        merged = common[:gap_fresh] + pair + common[gap_fresh:]
-    else:
-        if branch is not None:
-            raise ConstructionError("merge is forced here: no Branch may be given")
-        if gap_one < gap_fresh:
-            merged = (common[:gap_one] + [1] + common[gap_one:gap_fresh]
-                      + [fresh_value] + common[gap_fresh:])
-        else:
-            merged = (common[:gap_fresh] + [fresh_value] + common[gap_fresh:gap_one]
-                      + [1] + common[gap_one:])
+    if gap_fresh == gap_one and branch is None:
+        raise ConstructionError("merge is ambiguous here: a Branch is required")
+    if gap_fresh != gap_one and branch is not None:
+        raise ConstructionError("merge is forced here: no Branch may be given")
+    # On a shared slot the 1 goes after fresh_value only under FRESH_FIRST.
+    merged = list(common)
+    merged.insert(gap_fresh, fresh_value)
+    merged.insert(gap_one + (gap_one > gap_fresh or branch is Branch.FRESH_FIRST), 1)
     offset = merged.index(1) - merged.index(fresh_value)
     return SeamMerge(tuple(below), tuple(above), fresh_value,
                      gap_fresh + 1, gap_one + 1, tuple(merged), offset)
@@ -254,42 +241,39 @@ def _weave_forward(replay: Sequence[int], n: int, gap: int) -> list[Optional[int
 
 
 def _weave(replay: Sequence[int], n: int, offset: int) -> list[Optional[int]]:
-    if offset == 0:
-        raise ConstructionError("zero weave offset")
     if offset < 0:
         return _weave_forward(replay, n, -offset)
     # Positive offset puts fresh values before their mains; run the same
     # walk on the reversed block, where "before" becomes "after".  Slots
     # discarded at the reversed end are those falling before the leading 1.
-    rev = _weave_forward(list(reversed(replay)), n, offset)
-    rev.reverse()
-    return rev
+    return _weave_forward(replay[::-1], n, offset)[::-1]
 
 
 def extend_next_block(state: ConstructionState,
                       branch: Optional[Branch] = None) -> ConstructionState:
     """Run one full extension step: merge seams, append the carry, weave
     the next block, validate the result."""
-    _require_blocks(state, 2)
     plan = merge_seams(seam_below(state), seam_above(state), branch)
     replay = state.terms[state.block_starts[-1] - 1:]
-    state.terms += plan.carry
-    if plan.carry:
-        state.fresh = max(state.fresh, max(plan.carry) + 1)
-    new_start = len(state.terms) + 1
-    woven = _weave(replay, state.n, plan.offset)
-    inserted = 0
-    for slot in woven:
-        if slot is None:
-            state.terms.append(state.fresh + inserted)
-            inserted += 1
-        else:
-            state.terms.append(slot)
-    state.fresh += inserted
-    state.block_starts.append(new_start)
     if branch is not None:
         state.branch_log.append(branch)
-    _validate(state, f"block {state.blocks}")
+    return _append_block(state, plan.carry, _weave(replay, state.n, plan.offset),
+                         f"block {state.blocks + 1}")
+
+
+def _append_block(state: ConstructionState, carry: Sequence[int],
+                  woven: Sequence[Optional[int]], step: str) -> ConstructionState:
+    """Append ``carry``, then ``woven`` with None slots made fresh; validate."""
+    state.terms += carry
+    if carry:
+        state.fresh = max(state.fresh, max(carry) + 1)
+    state.block_starts.append(len(state.terms) + 1)
+    for slot in woven:
+        if slot is None:
+            slot = state.fresh
+            state.fresh += 1
+        state.terms.append(slot)
+    _validate(state, step)
     return state
 
 
@@ -309,46 +293,59 @@ def _validate(state: ConstructionState, step: str) -> None:
 BranchSpec = Union[None, Branch, Sequence[Branch]]
 
 
-def _branch_feed(branches: BranchSpec):
-    """Turn a branch policy into a per-fork supplier.
+def _branch_feed(branches: BranchSpec) -> Callable[[], tuple[Branch, ...]]:
+    """Turn a branch policy into a per-fork supplier of one choice.
 
     None defaults every fork to ONE_FIRST; a single Branch repeats; an
     explicit sequence is consumed in fork order and must cover every
     fork encountered.
     """
     if branches is None:
-        return lambda: Branch.ONE_FIRST
-    if isinstance(branches, Branch):
-        return lambda: branches
-    feed = iter(branches)
+        branches = Branch.ONE_FIRST
+    feed = repeat(branches) if isinstance(branches, Branch) else iter(branches)
 
-    def supply() -> Branch:
+    def supply() -> tuple[Branch, ...]:
         choice = next(feed, None)
         if choice is None:
             raise ConstructionError("branch list exhausted: the construction "
                                     "forked more often than choices were given")
-        return choice
+        return (choice,)
 
     return supply
 
 
-def construct_ramp(n: int, blocks: int, branches: BranchSpec = None) -> list[int]:
-    """Build ``blocks`` blocks from the ramp seed (1, 2, ..., n)."""
-    state = construct_ramp_state(n, blocks, branches)
-    return list(state.terms)
+def _runs(state: ConstructionState, more: Callable[[ConstructionState], bool],
+          choices: Callable[[], tuple[Branch, ...]]) -> Iterator[ConstructionState]:
+    """Grow ``state`` block by block while ``more(state)`` holds; yield each run.
+
+    A one-block state gets the forced second block.  At a fork each
+    Branch in ``choices()`` but the last grows a clone, whose runs are
+    yielded first; the last grows ``state``.  One choice, one run.
+    """
+    while more(state):
+        if state.blocks == 1:
+            extend_second_block(state)
+        elif needs_branch(state):
+            *others, last = choices()
+            for choice in others:
+                yield from _runs(extend_next_block(state.clone(), choice), more, choices)
+            extend_next_block(state, last)
+        else:
+            extend_next_block(state, None)
+    yield state
+
+
+def _require_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ConstructionError(f"need {name} >= 1, got {value!r}")
 
 
 def construct_ramp_state(n: int, blocks: int,
                          branches: BranchSpec = None) -> ConstructionState:
-    if not isinstance(blocks, int) or blocks < 1:
-        raise ConstructionError(f"need blocks >= 1, got {blocks!r}")
+    """Build ``blocks`` blocks from the ramp seed (1, 2, ..., n)."""
+    _require_count("blocks", blocks)
     supply = _branch_feed(branches)
-    state = init_ramp(n)
-    if blocks >= 2:
-        extend_second_block(state)
-    for _ in range(3, blocks + 1):
-        extend_next_block(state, supply() if needs_branch(state) else None)
-    return state
+    return next(_runs(init_ramp(n), lambda s: s.blocks < blocks, supply))
 
 
 def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:
@@ -357,25 +354,9 @@ def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[i
     Paths are listed with ONE_FIRST explored first, so the output order
     is the binary order of the fork choices.
     """
-    if not isinstance(blocks, int) or blocks < 1:
-        raise ConstructionError(f"need blocks >= 1, got {blocks!r}")
-    state = init_ramp(n)
-    if blocks >= 2:
-        extend_second_block(state)
-    results: list[tuple[tuple[Branch, ...], list[int]]] = []
-
-    def explore(st: ConstructionState, remaining: int) -> None:
-        if remaining == 0:
-            results.append((tuple(st.branch_log), list(st.terms)))
-            return
-        if needs_branch(st):
-            for choice in (Branch.ONE_FIRST, Branch.FRESH_FIRST):
-                explore(extend_next_block(st.clone(), choice), remaining - 1)
-        else:
-            explore(extend_next_block(st, None), remaining - 1)
-
-    explore(state, max(0, blocks - 2))
-    return results
+    _require_count("blocks", blocks)
+    return [(tuple(run.branch_log), list(run.terms))
+            for run in _runs(init_ramp(n), lambda s: s.blocks < blocks, lambda: tuple(Branch))]
 
 
 def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int]:
@@ -386,12 +367,7 @@ def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int
     by its occurrence rank.  The rank stream starts with n ones followed
     by a 2, so the seed needs no special-casing.
     """
-    if not isinstance(length, int) or length < 1:
-        raise ConstructionError(f"need length >= 1, got {length!r}")
+    _require_count("length", length)
     supply = _branch_feed(branches)
-    state = init_ramp(n)
-    if len(state.terms) < length:
-        extend_second_block(state)
-    while len(state.terms) < length:
-        extend_next_block(state, supply() if needs_branch(state) else None)
+    state = next(_runs(init_ramp(n), lambda s: len(s.terms) < length, supply))
     return rank_stream(state.terms[:length])

@@ -34,14 +34,21 @@ def _sign(x: int) -> int:
 
 
 def _squarefree_part(d: int) -> tuple[int, int]:
-    """Write d = f*f * dd with dd square-free; return (f, dd)."""
-    f, dd, p = 1, d, 2
-    while p * p <= dd:
-        while dd % (p * p) == 0:
-            dd //= p * p
-            f *= p
+    """Write d = f*f * dd with dd square-free; return (f, dd).
+
+    Trial division stops once p**3 exceeds the unfactored rest: that rest
+    then has at most two prime factors, so it is square-free or a square.
+    """
+    f, dd, p = 1, 1, 2
+    while p * p * p <= d:
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        f, dd = f * p ** (e // 2), dd * p ** (e % 2)
         p += 1
-    return f, dd
+    r = math.isqrt(d)
+    return (f * r, dd) if r * r == d else (f, dd * d)
 
 
 def _is_squarefree(d: int) -> bool:

@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from fractalseq import rank_stream
 from fractalseq.cli import main
 
 from fixtures import RAMP4_RANK_STREAM, RAMP4_TERMS, SQRT13_PREFIX
@@ -147,6 +149,26 @@ def test_construct_type2_golden_run(capsys, monkeypatch):
                             "--branches", "0,1", "--type2"])
     assert code == 0
     assert [int(x) for x in out.split()] == RAMP4_RANK_STREAM
+
+
+def test_construct_type2_is_rank_stream_of_plain_run(capsys, monkeypatch):
+    rng = random.Random(2024)
+    exhausted = 0
+    for n in range(2, 7):
+        for _ in range(6):
+            bits = ",".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+            argv = ["construct", "--n", str(n), "--blocks", str(rng.randint(3, 40)),
+                    "--branches", bits]
+            plain = run_cli(capsys, monkeypatch, argv)
+            type2 = run_cli(capsys, monkeypatch, argv + ["--type2"])
+            if plain[0] == 1:
+                exhausted += 1
+                assert plain[2].startswith("error: branch list exhausted")
+                assert type2 == plain
+            else:
+                ranks = rank_stream([int(x) for x in plain[1].split()])
+                assert type2 == (0, "".join(f"{r}\n" for r in ranks), "")
+    assert 0 < exhausted < 30
 
 
 def test_construct_default_blocks_is_five(capsys, monkeypatch):

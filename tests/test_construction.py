@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from fractalseq import construction
 from fractalseq import (Branch, ConstructionError, annotate_ranks,
                         check_doubly_fractal_prefix, construct_ones,
-                        construct_ramp, construct_ramp_state, enumerate_ramp,
+                        construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
                         generate_signature, init_ramp, merge_seams,
                         needs_branch, occurrence_index, rank_stream,
@@ -209,6 +209,41 @@ def test_linear_merge_matches_oracle_on_real_seams():
             extend_next_block(state, FRESH if needs_branch(state) else None)
 
 
+def three_slice_merge(common, gap_fresh, gap_one, fresh_value, branch):
+    """The merged seam as first written, kept as the oracle of the two
+    inserts in `merge_seams`."""
+    if gap_fresh == gap_one:
+        pair = [1, fresh_value] if branch is ONE else [fresh_value, 1]
+        return common[:gap_fresh] + pair + common[gap_fresh:]
+    if gap_one < gap_fresh:
+        return (common[:gap_one] + [1] + common[gap_one:gap_fresh]
+                + [fresh_value] + common[gap_fresh:])
+    return (common[:gap_fresh] + [fresh_value] + common[gap_fresh:gap_one]
+            + [1] + common[gap_one:])
+
+
+def test_merged_seam_matches_three_slice_oracle_on_real_seams():
+    # Runs that fork the same way every time never meet a forced merge,
+    # so the runs here take seeded random turns.
+    rng = random.Random(99)
+    orders = set()
+    for n, blocks in [(2, 40), (3, 30), (4, 30), (6, 20)]:
+        state = construct_ramp_state(n, 2)
+        for _ in range(blocks):
+            below, above = seam_below(state), seam_above(state)
+            common, gap_fresh, gap_one, fresh_value = construction._merge_positions(below, above)
+            fork = needs_branch(state)
+            for branch in (ONE, FRESH) if fork else (None,):
+                plan = merge_seams(below, above, branch)
+                assert [x for x in plan.merged if x != 1] == below
+                assert [x for x in plan.merged if x != plan.fresh_value] == above
+                assert list(plan.merged) == three_slice_merge(
+                    common, gap_fresh, gap_one, fresh_value, branch), (below, above, branch)
+                orders.add((gap_one > gap_fresh) - (gap_one < gap_fresh))
+            extend_next_block(state, rng.choice([ONE, FRESH]) if fork else None)
+    assert orders == {-1, 0, 1}
+
+
 # --- full extension steps ------------------------------------------------------
 
 def test_steps_match_golden_run():
@@ -226,11 +261,11 @@ def test_steps_match_golden_run():
 
 
 def test_construct_ramp_golden():
-    assert construct_ramp(4, 5, RAMP4_BRANCHES) == RAMP4_TERMS
+    assert construct_ramp_state(4, 5, RAMP4_BRANCHES).terms == RAMP4_TERMS
 
 
 def test_construct_ramp_single_block():
-    assert construct_ramp(2, 1) == [1, 2]
+    assert construct_ramp_state(2, 1).terms == [1, 2]
 
 
 def test_fresh_counter_invariant():
@@ -240,14 +275,14 @@ def test_fresh_counter_invariant():
 
 def test_construct_rejects_exhausted_branch_list():
     with pytest.raises(ConstructionError):
-        construct_ramp(4, 5, [ONE])
+        construct_ramp_state(4, 5, [ONE])
 
 
 def test_fixed_branch_policy_repeats():
     # Fork count depends on the path taken: all-fresh forks three times
     # within five blocks, while the (one, fresh) path forks only twice.
-    by_policy = construct_ramp(4, 5, FRESH)
-    explicit = construct_ramp(4, 5, [FRESH, FRESH, FRESH])
+    by_policy = construct_ramp_state(4, 5, FRESH).terms
+    explicit = construct_ramp_state(4, 5, [FRESH, FRESH, FRESH]).terms
     assert by_policy == explicit
 
 
@@ -270,7 +305,7 @@ def test_part_recurrence():
     # Global first occurrences removed, the survivors inside the segment
     # between consecutive occurrences of n reproduce the previous segment.
     for n, blocks, branches in [(4, 5, RAMP4_BRANCHES), (3, 6, ONE), (2, 7, FRESH)]:
-        terms = construct_ramp(n, blocks, branches)
+        terms = construct_ramp_state(n, blocks, branches).terms
         seen = set()
         survivor = [False] * len(terms)
         for idx, v in enumerate(terms):
@@ -292,7 +327,7 @@ def test_part_recurrence():
 
 def test_upper_trim_peels_one_block():
     # Trimming the five-block run leaves its four-block prefix.
-    four_blocks = construct_ramp(4, 4, RAMP4_BRANCHES)
+    four_blocks = construct_ramp_state(4, 4, RAMP4_BRANCHES).terms
     assert upper_trim(RAMP4_TERMS) == four_blocks[:len(upper_trim(RAMP4_TERMS))]
 
 
@@ -350,7 +385,7 @@ def test_enumerate_depth_two():
     assert [log for log, _ in outcomes] == [
         (ONE, ONE), (ONE, FRESH), (FRESH, ONE), (FRESH, FRESH)]
     for log, terms in outcomes:
-        assert construct_ramp(3, 4, list(log)) == terms
+        assert construct_ramp_state(3, 4, list(log)).terms == terms
 
 
 def test_enumerate_no_fork_cases():
@@ -372,7 +407,7 @@ def test_fresh_branch_tracks_sqrt13():
     # window that contains sqrt(13), so the outcome is a prefix of its
     # signature.
     from fixtures import SQRT13_PREFIX
-    terms = construct_ramp(4, 3, [FRESH])
+    terms = construct_ramp_state(4, 3, [FRESH]).terms
     assert terms == SQRT13_PREFIX[:len(terms)]
 
 

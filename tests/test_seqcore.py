@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fractalseq import (AnnotatedTerm, Branch, SegmentKind, annotate_ranks,
                         check_doubly_fractal_prefix, classify_initial_segment,
-                        construct_ramp, lower_trim, occurrence_index,
+                        construct_ramp_state, lower_trim, occurrence_index,
                         parse_terms, rank_stream, upper_trim)
 from fractalseq.seqcore import PrefixChecker
 
@@ -219,7 +219,7 @@ def test_incremental_checker_agrees_on_small_lists(seq, chunks):
 
 # Random lists rarely pass for long, so also feed a passing run with at
 # most one term changed.
-PASSING_RUN = construct_ramp(4, 11, Branch.FRESH_FIRST)[:200]
+PASSING_RUN = construct_ramp_state(4, 11, Branch.FRESH_FIRST).terms[:200]
 
 
 @given(st.integers(0, len(PASSING_RUN) - 1), st.integers(1, 12),
@@ -234,7 +234,7 @@ def test_incremental_checker_agrees_on_a_long_run():
     rng = random.Random(150)
     n = rng.randint(2, 6)
     bits = [rng.choice(list(Branch)) for _ in range(150)]
-    seq = construct_ramp(n, 150, bits)
+    seq = construct_ramp_state(n, 150, bits).terms
     cuts = sorted(rng.sample(range(len(seq)), 25)) + [len(seq)]
     assert_agrees_at_every_cut(seq, cuts)
     assert check_doubly_fractal_prefix(seq).ok

@@ -1,4 +1,5 @@
 import decimal
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
                         generate_signature, parse_theta, signature_terms)
-from fractalseq.signature import compare_with_rational, surd_sign
+from fractalseq.signature import _squarefree_part, compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
 from fixtures import ONE_SEVENTH_PREFIX, SQRT13_PREFIX
@@ -25,6 +26,48 @@ def test_sqrt_of_square_collapses_to_fraction():
 def test_square_factor_extraction():
     s = Surd.make(0, 1, 12)
     assert (s.a, s.b, s.d, s.c) == (0, 2, 3, 1)
+
+
+def trial_division_squarefree_part(d):
+    """The square-free split as first written, trial-dividing up to
+    sqrt(d); kept as the oracle of `_squarefree_part`."""
+    f, dd, p = 1, d, 2
+    while p * p <= dd:
+        while dd % (p * p) == 0:
+            dd //= p * p
+            f *= p
+        p += 1
+    return f, dd
+
+
+def test_squarefree_part_matches_trial_division():
+    for d in range(1, 200_000):
+        assert _squarefree_part(d) == trial_division_squarefree_part(d), d
+
+
+def test_squarefree_part_of_large_square_factors():
+    # d = f*f * s with s a product of distinct primes, so (f, s) is known;
+    # the large prime q sits in the square part or in s.
+    rng = random.Random(11)
+    for q in [1000003, 999983, 65537, 10007]:
+        for _ in range(50):
+            s = 1
+            for p in rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3)):
+                s *= p
+            f = rng.randint(1, 50)
+            if rng.random() < 0.5:
+                f *= q
+            else:
+                s *= q
+            assert _squarefree_part(f * f * s) == (f, s), (f, s)
+
+
+def test_large_prime_radicand():
+    d = 10 ** 14 + 31
+    assert _squarefree_part(d) == (1, d)
+    theta = parse_theta(f"sqrt({d})")
+    assert (theta.a, theta.b, theta.d, theta.c) == (0, 1, d, 1)
+    assert [v for v, _ in generate_signature(theta, 3)] == [1, 2, 3]
 
 
 def test_common_factor_reduction_and_sign():
