@@ -132,6 +132,10 @@ def _cmd_construct(args) -> int:
         raise _UsageError("--enumerate and --branches are mutually exclusive")
     if args.n < 2:
         raise _UsageError(f"need --n >= 2, got {args.n}")
+    cap = _max_terms()
+    if args.n * args.blocks > cap:  # every block holds 1..n
+        raise _UsageError(f"--n {args.n} times --blocks {args.blocks} exceeds the cap "
+                          f"of {cap} (override with FRACTALSEQ_MAX_TERMS)")
 
     if args.enumerate:
         for log, terms in enumerate_ramp(args.n, args.blocks):

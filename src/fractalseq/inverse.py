@@ -30,8 +30,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .seqcore import SegmentKind, annotate_ranks
-from .signature import (as_exact, compare_with_rational, exact_equal,
-                        signature_terms)
+from .signature import as_exact, compare_with_rational, signature_terms
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def first_divergence(theta1, theta2, max_terms: int) -> Optional[int]:
     the search, and None reports agreement through that horizon.
     """
     t1, t2 = as_exact(theta1), as_exact(theta2)
-    if exact_equal(t1, t2):
+    if t1 == t2:
         raise ValueError("parameters must be distinct")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")

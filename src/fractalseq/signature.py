@@ -33,30 +33,8 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _squarefree_part(d: int) -> tuple[int, int]:
-    """Write d = f*f * dd with dd square-free; return (f, dd).
-
-    Trial division stops once p**3 exceeds the unfactored rest: that rest
-    then has at most two prime factors, so it is square-free or a square.
-    """
-    f, dd, p = 1, 1, 2
-    while p * p * p <= d:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        f, dd = f * p ** (e // 2), dd * p ** (e % 2)
-        p += 1
-    r = math.isqrt(d)
-    return (f * r, dd) if r * r == d else (f, dd * d)
-
-
-def _is_squarefree(d: int) -> bool:
-    return _squarefree_part(d)[1] == d
-
-
 def surd_sign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for square-free d >= 2.
+    """Exact sign of a + b*sqrt(d) for d >= 2 not a square.
 
     When a and b have opposite signs the comparison reduces to a*a
     versus b*b*d, which cannot be a draw: equality would make sqrt(d)
@@ -74,11 +52,13 @@ def surd_sign(a: int, b: int, d: int) -> int:
     return _sign(t) if a > 0 else -_sign(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surd:
     """Exact value (a + b*sqrt(d)) / c.
 
-    Normal form: c >= 1, b != 0, d >= 2 square-free, gcd(a, b, c) = 1.
+    Normal form: c >= 1, b != 0, d >= 2 not a square, gcd(a, b, c) = 1.
+    The radicand is kept as written, so ``sqrt(12)`` and ``2*sqrt(3)``
+    have different fields; ``==`` and ``hash`` compare values.
     Build values through :meth:`make` (or :func:`parse_theta`), which
     normalizes and collapses rational cases to ``Fraction``; the raw
     constructor rejects anything not already in normal form.
@@ -94,10 +74,25 @@ class Surd:
             raise ValueError("denominator must be positive")
         if self.b == 0:
             raise ValueError("b = 0 is rational; use Fraction")
-        if self.d < 2 or not _is_squarefree(self.d):
-            raise ValueError("d must be square-free and >= 2")
-        if math.gcd(math.gcd(abs(self.a), abs(self.b)), self.c) != 1:
+        if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:
+            raise ValueError("d must be >= 2 and not a square")
+        if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError("components must have no common factor")
+
+    def _key(self) -> tuple[Fraction, Fraction]:
+        # The rational part and the signed square of b*sqrt(d)/c.  Equal
+        # values have equal rational parts, since x*sqrt(d1) - y*sqrt(d2)
+        # is never a nonzero rational when neither d1 nor d2 is a square.
+        return (Fraction(self.a, self.c),
+                Fraction(self.b * abs(self.b) * self.d, self.c * self.c))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def make(a: int, b: int, d: int, c: int = 1) -> "ExactNumber":
@@ -107,14 +102,13 @@ class Surd:
             raise ValueError("negative radicand")
         if c < 0:
             a, b, c = -a, -b, -c
-        f, dd = _squarefree_part(d) if d else (0, 0)
-        b *= f
-        if d == 0 or b == 0:
+        r = math.isqrt(d)
+        if r * r == d:
+            return Fraction(a + b * r, c)
+        if b == 0:
             return Fraction(a, c)
-        if dd == 1:
-            return Fraction(a + b, c)
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
-        return Surd(a // g, b // g, dd, c // g)
+        g = math.gcd(a, b, c)
+        return Surd(a // g, b // g, d, c // g)
 
     @staticmethod
     def sqrt(d: int) -> "ExactNumber":
@@ -157,15 +151,6 @@ def _require_positive(theta: ExactNumber) -> None:
         raise ValueError("theta must be positive")
 
 
-def exact_equal(x: ExactNumber, y: ExactNumber) -> bool:
-    """Exact equality; a Surd in normal form is never rational."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    if isinstance(x, Surd) and isinstance(y, Surd):
-        return x == y
-    return False
-
-
 def compare_affine(i1: int, j1: int, i2: int, j2: int, theta) -> int:
     """Exact three-way comparison of i1 + j1*theta against i2 + j2*theta.
 
@@ -180,12 +165,8 @@ def compare_affine(i1: int, j1: int, i2: int, j2: int, theta) -> int:
 
 
 def compare_with_rational(theta: ExactNumber, r: Fraction) -> int:
-    """Exact sign of theta - r."""
-    if isinstance(theta, Fraction):
-        return _sign((theta - r).numerator)
-    # (a + b*sqrt(d))/c - u/v  has the sign of (a*v - u*c) + b*v*sqrt(d)
-    return surd_sign(theta.a * r.denominator - r.numerator * theta.c,
-                     theta.b * r.denominator, theta.d)
+    """Exact sign of theta - r: the sign of v*theta - u for r = u/v."""
+    return compare_affine(0, r.denominator, r.numerator, 0, theta)
 
 
 # ---------------------------------------------------------------------------

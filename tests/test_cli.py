@@ -72,7 +72,8 @@ def test_generate_respects_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
 @pytest.mark.parametrize("argv", [["generate", "--theta", "2", "--count", "3"],
-                                  ["diverge", "sqrt(2)", "3/2"]])
+                                  ["diverge", "sqrt(2)", "3/2"],
+                                  ["construct", "--n", "4"]])
 def test_malformed_max_terms_is_usage_error(capsys, monkeypatch, raw, argv):
     monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", raw)
     code, out, err = run_cli(capsys, monkeypatch, argv)
@@ -215,6 +216,24 @@ def test_construct_rejects_bad_branch_bits(capsys, monkeypatch):
     assert code == 2 and "branch bits" in err
 
 
+def test_construct_refuses_more_than_cap_main_terms(capsys, monkeypatch):
+    # Every block holds 1..n, so a run has at least n * blocks terms.
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "20")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["construct", "--n", "3", "--blocks", "7"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cap of 20" in err
+
+
+def test_construct_accepts_exactly_cap_main_terms(capsys, monkeypatch):
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "20")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["construct", "--n", "4", "--blocks", "5",
+                              "--branches", "0,1"])
+    assert (code, err) == (0, "")
+    assert [int(x) for x in out.split()] == RAMP4_TERMS
+
+
 # --- invert / diverge --------------------------------------------------------------
 
 def test_invert_ramp_seed(capsys, monkeypatch):
@@ -260,6 +279,12 @@ def test_diverge_none(capsys, monkeypatch):
 def test_diverge_equal_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["diverge", "3/2", "3/2"])
     assert code == 2 and "error:" in err
+
+
+def test_diverge_equal_surds_written_two_ways(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch, ["diverge", "sqrt(8)", "2*sqrt(2)"])
+    assert (code, out) == (2, "")
+    assert err == "error: parameters must be distinct\n"
 
 
 # --- plumbing ------------------------------------------------------------------------

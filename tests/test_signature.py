@@ -1,5 +1,5 @@
 import decimal
-import random
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
                         generate_signature, parse_theta, signature_terms)
-from fractalseq.signature import _squarefree_part, compare_with_rational, surd_sign
+from fractalseq.signature import compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
 from fixtures import ONE_SEVENTH_PREFIX, SQRT13_PREFIX
@@ -24,13 +24,16 @@ def test_sqrt_of_square_collapses_to_fraction():
 
 
 def test_square_factor_extraction():
-    s = Surd.make(0, 1, 12)
-    assert (s.a, s.b, s.d, s.c) == (0, 2, 3, 1)
+    # The radicand is kept as written; equality and hashing go by value.
+    s = parse_theta("sqrt(12)")
+    assert (s.a, s.b, s.d, s.c) == (0, 1, 12, 1) and str(s) == "sqrt(12)"
+    assert Surd.make(0, 1, 12) == Surd.make(0, 2, 3)
+    assert len({Surd.make(0, 1, 12), Surd.make(0, 2, 3)}) == 1
 
 
 def trial_division_squarefree_part(d):
-    """The square-free split as first written, trial-dividing up to
-    sqrt(d); kept as the oracle of `_squarefree_part`."""
+    """Write d = f*f * dd with dd square-free by trial division up to
+    sqrt(d); the oracle that value equality is checked against."""
     f, dd, p = 1, d, 2
     while p * p <= dd:
         while dd % (p * p) == 0:
@@ -40,31 +43,45 @@ def trial_division_squarefree_part(d):
     return f, dd
 
 
-def test_squarefree_part_matches_trial_division():
-    for d in range(1, 200_000):
-        assert _squarefree_part(d) == trial_division_squarefree_part(d), d
+def squarefree_normal_form(a, b, d, c):
+    f, dd = trial_division_squarefree_part(d)
+    g = math.gcd(a, b * f, c)
+    return a // g, b * f // g, dd, c // g
 
 
-def test_squarefree_part_of_large_square_factors():
-    # d = f*f * s with s a product of distinct primes, so (f, s) is known;
-    # the large prime q sits in the square part or in s.
-    rng = random.Random(11)
-    for q in [1000003, 999983, 65537, 10007]:
-        for _ in range(50):
-            s = 1
-            for p in rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3)):
-                s *= p
-            f = rng.randint(1, 50)
-            if rng.random() < 0.5:
-                f *= q
-            else:
-                s *= q
-            assert _squarefree_part(f * f * s) == (f, s), (f, s)
+def test_value_equality_agrees_with_squarefree_normal_form():
+    shapes = [(a, b, c) for a in (0, 1) for b in (1, 2, 3, -2) for c in (1, 2)]
+    by_form, by_value, small, made = {}, {}, [], 0
+    for d in range(2, 3001):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        for a, b, c in shapes:
+            made += 1
+            x, form = Surd.make(a, b, d, c), squarefree_normal_form(a, b, d, c)
+            first = by_form.setdefault(form, x)
+            assert x == first and hash(x) == hash(first), (x, first)
+            assert by_value.setdefault(x, form) == form, (x, form)
+            if d < 30:
+                small.append((x, form))
+    assert len(by_value) == len(by_form) < made
+    # Pairwise on small radicands, so an equality that hashing hides shows too.
+    for x, ox in small:
+        for y, oy in small:
+            assert (x == y) == (ox == oy), (x, y)
+
+
+@pytest.mark.parametrize("p", [1000003, 10 ** 40 + 121])
+def test_square_factor_of_large_radicand_is_equal_by_value(p):
+    for k in (2, 3, 10, 997):
+        x = parse_theta(f"sqrt({k * k * p})")
+        assert x.d == k * k * p
+        assert x == parse_theta(f"{k}*sqrt({p})") == Surd.make(0, k, p)
+        assert hash(x) == hash(Surd.make(0, k, p))
+        assert x != Surd.make(0, k + 1, p) and x != Surd.make(0, k, p + 1)
 
 
 def test_large_prime_radicand():
     d = 10 ** 14 + 31
-    assert _squarefree_part(d) == (1, d)
     theta = parse_theta(f"sqrt({d})")
     assert (theta.a, theta.b, theta.d, theta.c) == (0, 1, d, 1)
     assert [v for v, _ in generate_signature(theta, 3)] == [1, 2, 3]
