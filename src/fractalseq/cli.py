@@ -3,7 +3,10 @@
 Commands compose over pipes: sequences are read as whitespace-separated
 integers from a file or stdin and written one term per line, so
 ``fractalseq generate ... | fractalseq check`` works as expected.
-Output is deterministic byte by byte for identical inputs.
+Output is deterministic byte by byte for identical inputs.  Long
+outputs go out in chunks of 256 joined lines, one write each: with
+PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
+and larger chunks raise peak memory for no measurable speed.
 
 Exit codes: 0 success, 1 domain error (a failed check, an EMPTY
 interval under --expect-nonempty, an impossible construction), 2 usage
@@ -14,7 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 # construct_ones is unused here; perfbench/tracer.py looks up cli.construct_ones.
 from .construction import (Branch, ConstructionError, construct_ramp_state,
@@ -25,6 +29,7 @@ from .seqcore import (check_doubly_fractal_prefix, lower_trim, parse_terms,
 from .signature import generate_signature, parse_theta
 
 _DEFAULT_MAX_TERMS = 10 ** 6
+_CHUNK_LINES = 256
 
 
 def _max_terms() -> int:
@@ -82,6 +87,13 @@ def _branch_bits(log) -> str:
     return ",".join(str(b.value) for b in log) if log else "-"
 
 
+def _emit(lines: Iterable[str]) -> None:
+    # sys.stdout is looked up per chunk, so a replaced stream is honoured.
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CHUNK_LINES)):
+        sys.stdout.write(chunk)
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 
@@ -96,23 +108,22 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     terms = generate_signature(theta, args.count)
-    out = sys.stdout
     if args.json:
-        out.writelines(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
-                       for h, (v, r) in enumerate(terms, start=1))
+        _emit(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
+              for h, (v, r) in enumerate(terms, start=1))
     elif args.bfile:
-        out.writelines(f"{h} {v}\n" for h, (v, _) in enumerate(terms, start=1))
+        _emit(f"{h} {v}\n" for h, (v, _) in enumerate(terms, start=1))
     elif args.ranks:
-        out.writelines(f"{v} {r}\n" for v, r in terms)
+        _emit(f"{v} {r}\n" for v, r in terms)
     else:
-        out.writelines(f"{v}\n" for v, _ in terms)
+        _emit(f"{v}\n" for v, _ in terms)
     return 0
 
 
 def _cmd_trim(args) -> int:
     terms = _read_terms(args.input)
     out = upper_trim(terms) if args.upper else lower_trim(terms)
-    sys.stdout.writelines(f"{t}\n" for t in out)
+    _emit(f"{t}\n" for t in out)
     return 0
 
 
@@ -138,16 +149,16 @@ def _cmd_construct(args) -> int:
                           f"of {cap} (override with FRACTALSEQ_MAX_TERMS)")
 
     if args.enumerate:
-        for log, terms in enumerate_ramp(args.n, args.blocks):
-            if args.type2:
-                terms = rank_stream(terms)
-            print(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}")
+        rows = enumerate_ramp(args.n, args.blocks)
+        if args.type2:
+            rows = ((log, rank_stream(terms)) for log, terms in rows)
+        _emit(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}\n" for log, terms in rows)
         return 0
 
     terms = construct_ramp_state(args.n, args.blocks, branches).terms
     if args.type2:
         terms = rank_stream(terms)
-    sys.stdout.writelines(f"{t}\n" for t in terms)
+    _emit(f"{t}\n" for t in terms)
     return 0
 
 

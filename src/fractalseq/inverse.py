@@ -6,16 +6,20 @@ inequalities hold:
 
 * adjacency: consecutive annotated terms are nondecreasing as values
   s_h + a_h * theta;
-* frontier: every minimal pair (i, j) NOT in the prefix, namely
-  (v, count(v) + 1) for each listed value v, (w, 1) for each missing
-  value w below the maximum, and (max + 1, 1), must not sort strictly
-  before the last listed term.
+* frontier: every minimal pair (i, j) NOT in the prefix must not sort
+  strictly before the last listed term.  These are (v, count(v) + 1)
+  for each listed value v and (w, 1) for each missing value w; only the
+  least missing w (max + 1 if none is below) needs a test.
 
 The adjacency family alone admits impostors (it would accept (1, 2)
 for every positive theta); the frontier family is what certifies that
 nothing was skipped.  Intersecting all constraints with theta > 0
 yields an interval with exact rational bounds, possibly empty, possibly
 unbounded above.
+
+Bounds are kept as integer pairs (num, den) with den > 0 and compared
+by cross-multiplying, in one pass that counts ranks as it goes and one
+over the frontier; ``Fraction``s appear only in the result.
 
 All bounds are emitted closed, because every inequality above is weak.
 A closed endpoint may still fail to regenerate the prefix when the tie
@@ -29,6 +33,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Optional
 
+# annotate_ranks is unused here; perfbench/tracer.py looks up inverse.annotate_ranks.
 from .seqcore import SegmentKind, annotate_ranks
 from .signature import as_exact, compare_with_rational, signature_terms
 
@@ -126,52 +131,45 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
     seq = list(terms)
     if not seq:
         raise ValueError("prefix must be nonempty")
-    if any(t < 1 for t in seq):
+    if min(seq) < 1:
         raise ValueError("terms must be >= 1")
 
-    pairs = annotate_ranks(seq)
-    lo, lo_closed = Fraction(0), False
-    hi: Optional[Fraction] = None
-    hi_closed = False
-
-    def tighten_lower(r: Fraction) -> None:
-        nonlocal lo, lo_closed
-        if r > lo:
-            lo, lo_closed = r, True
-
-    def tighten_upper(r: Fraction) -> None:
-        nonlocal hi, hi_closed
-        if hi is None or r < hi:
-            hi, hi_closed = r, True
-
-    for (s1, a1), (s2, a2) in zip(pairs, pairs[1:]):
+    # lo = lo_n/lo_d starts at 0/1, open until first tightened; hi = 1/0
+    # is unbounded, and any candidate r/q with q > 0 compares below it.
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
+    counts: dict[int, int] = {}
+    # A phantom pair (0, 0) before the first term only asks theta >= -s.
+    s1 = a1 = 0
+    for s2 in seq:
+        a2 = counts[s2] = counts.get(s2, 0) + 1
         ds, da = s1 - s2, a2 - a1
         if da > 0:
-            tighten_lower(Fraction(ds, da))
+            if ds * lo_d > lo_n * da:
+                lo_n, lo_d = ds, da
         elif da < 0:
-            tighten_upper(Fraction(ds, da))
+            if ds * hi_d > hi_n * da:        # ds/da < hi, with da < 0
+                hi_n, hi_d = -ds, -da
         elif ds > 0:
             return EMPTY_INTERVAL
+        s1, a1 = s2, a2
 
-    counts: dict[int, int] = {}
-    for v in seq:
-        counts[v] = counts.get(v, 0) + 1
-    top = max(seq)
-    frontier = [(v, c + 1) for v, c in counts.items()]
-    frontier += [(w, 1) for w in range(1, top) if w not in counts]
-    frontier.append((top + 1, 1))
-
-    last_s, last_a = pairs[-1]
-    for fi, fj in frontier:
-        dv, dj = fi - last_s, last_a - fj
+    w = 1                   # the least missing value
+    while w in counts:
+        w += 1
+    counts[w] = 0           # now the frontier is (v, c + 1) for every (v, c)
+    for fi, c in counts.items():
+        dv, dj = fi - s1, a1 - 1 - c
         if dj > 0:
-            tighten_upper(Fraction(dv, dj))
+            if dv * hi_d < hi_n * dj:
+                hi_n, hi_d = dv, dj
         elif dj < 0:
-            tighten_lower(Fraction(dv, dj))
+            if dv * lo_d < lo_n * dj:        # dv/dj > lo, with dj < 0
+                lo_n, lo_d = -dv, -dj
         elif dv < 0:
             return EMPTY_INTERVAL
 
-    return _interval(lo, lo_closed, hi, hi_closed)
+    return _interval(Fraction(lo_n, lo_d), lo_n > 0,
+                     Fraction(hi_n, hi_d) if hi_d else None, hi_d > 0)
 
 
 def seed_interval(n: int, kind: SegmentKind) -> ThetaInterval:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from fractalseq import rank_stream
+from fractalseq import (construct_ramp_state, enumerate_ramp, generate_signature,
+                        lower_trim, parse_theta, rank_stream, upper_trim)
+from fractalseq import cli
 from fractalseq.cli import main
 
 from fixtures import RAMP4_RANK_STREAM, RAMP4_TERMS, SQRT13_PREFIX
@@ -285,6 +287,89 @@ def test_diverge_equal_surds_written_two_ways(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["diverge", "sqrt(8)", "2*sqrt(2)"])
     assert (code, out) == (2, "")
     assert err == "error: parameters must be distinct\n"
+
+
+# --- chunked output ---------------------------------------------------------------
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run_counting_writes(monkeypatch, argv, stdin=""):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    return out.getvalue(), out.writes
+
+
+def assert_chunked(out, writes, lines):
+    """``out`` is the per-line rendering, sent in one write per chunk."""
+    assert out == "".join(lines)
+    assert writes == -(-len(lines) // cli._CHUNK_LINES)
+
+
+SQRT13_10K = generate_signature(parse_theta("sqrt(13)"), 10_000)
+PLAIN_10K = [f"{v}\n" for v, _ in SQRT13_10K]
+GENERATE_RENDERINGS = {
+    "plain": PLAIN_10K,
+    "--ranks": [f"{v} {r}\n" for v, r in SQRT13_10K],
+    "--json": [f'{{"index":{h},"value":{v},"rank":{r}}}\n'
+               for h, (v, r) in enumerate(SQRT13_10K, start=1)],
+    "--bfile": [f"{h} {v}\n" for h, (v, _) in enumerate(SQRT13_10K, start=1)],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GENERATE_RENDERINGS))
+def test_generate_chunks_match_per_line_rendering(monkeypatch, fmt):
+    argv = ["generate", "--theta", "sqrt(13)", "--count", "10000"]
+    out, writes = run_counting_writes(monkeypatch, argv + ([] if fmt == "plain" else [fmt]))
+    assert_chunked(out, writes, GENERATE_RENDERINGS[fmt])
+
+
+@pytest.mark.parametrize("which, trim", [("--upper", upper_trim), ("--lower", lower_trim)])
+def test_trim_chunks_match_per_line_rendering(monkeypatch, which, trim):
+    out, writes = run_counting_writes(monkeypatch, ["trim", which], stdin="".join(PLAIN_10K))
+    assert_chunked(out, writes, [f"{t}\n" for t in trim(v for v, _ in SQRT13_10K)])
+
+
+@pytest.mark.parametrize("type2", [False, True])
+def test_construct_chunks_match_per_line_rendering(monkeypatch, type2):
+    terms = construct_ramp_state(4, 100).terms
+    out, writes = run_counting_writes(
+        monkeypatch, ["construct", "--n", "4", "--blocks", "100"] + ["--type2"] * type2)
+    assert_chunked(out, writes, [f"{t}\n" for t in (rank_stream(terms) if type2 else terms)])
+
+
+@pytest.mark.parametrize("type2", [False, True])
+def test_enumerate_chunks_match_per_line_rendering(monkeypatch, type2):
+    # 42 rows: a chunk of 5 lines puts rows on both sides of every boundary.
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 5)
+    rows = [(",".join(str(b.value) for b in log),
+             rank_stream(terms) if type2 else terms)
+            for log, terms in enumerate_ramp(3, 12)]
+    out, writes = run_counting_writes(
+        monkeypatch, ["construct", "--n", "3", "--blocks", "12", "--enumerate"]
+        + ["--type2"] * type2)
+    assert_chunked(out, writes, [f"{bits}\t{' '.join(map(str, t))}\n" for bits, t in rows])
+
+
+def test_unbuffered_subprocess_matches_per_line_rendering():
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalseq", "generate",
+         "--theta", "sqrt(13)", "--count", "10000", "--json"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(GENERATE_RENDERINGS["--json"])
 
 
 # --- plumbing ------------------------------------------------------------------------

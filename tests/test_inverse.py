@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fractalseq import (EMPTY_INTERVAL, SegmentKind, Surd, ThetaInterval,
                         annotate_ranks, first_divergence, generate_signature,
-                        seed_interval, theta_interval_from_prefix)
+                        parse_theta, seed_interval, theta_interval_from_prefix)
+from fractalseq.inverse import _interval
 
 from conftest import make_theta_sample
 from fixtures import DIVERGENCE_7_2_VS_SQRT13, RAMP4_INTERVAL, RAMP4_TERMS
@@ -55,6 +56,13 @@ def test_out_of_order_rank_is_empty():
     assert theta_interval_from_prefix([1, 3, 1]).is_empty
 
 
+def test_huge_term_costs_no_scan_up_to_it():
+    # Only the least missing value is tested on the frontier; a scan of
+    # every value up to the maximum would not finish here.
+    assert theta_interval_from_prefix([1, 10 ** 12, 1]) is EMPTY_INTERVAL
+    assert theta_interval_from_prefix([1, 2, 10 ** 12]) is EMPTY_INTERVAL
+
+
 def test_golden_run_interval():
     iv = theta_interval_from_prefix(RAMP4_TERMS)
     assert (iv.lo, iv.hi) == RAMP4_INTERVAL
@@ -66,6 +74,93 @@ def test_interval_rejects_bad_input():
         theta_interval_from_prefix([])
     with pytest.raises(ValueError):
         theta_interval_from_prefix([1, 0, 2])
+
+
+# --- integer pairs against the Fraction oracle ----------------------------------
+
+def fraction_interval_from_prefix(terms):
+    """The inverter as first written, one Fraction per constraint, kept as
+    the oracle of the integer-pair one."""
+    seq = list(terms)
+    pairs = annotate_ranks(seq)
+    lo, lo_closed = Fraction(0), False
+    hi, hi_closed = None, False
+
+    def tighten_lower(r):
+        nonlocal lo, lo_closed
+        if r > lo:
+            lo, lo_closed = r, True
+
+    def tighten_upper(r):
+        nonlocal hi, hi_closed
+        if hi is None or r < hi:
+            hi, hi_closed = r, True
+
+    for (s1, a1), (s2, a2) in zip(pairs, pairs[1:]):
+        ds, da = s1 - s2, a2 - a1
+        if da > 0:
+            tighten_lower(Fraction(ds, da))
+        elif da < 0:
+            tighten_upper(Fraction(ds, da))
+        elif ds > 0:
+            return EMPTY_INTERVAL
+
+    counts = {}
+    for v in seq:
+        counts[v] = counts.get(v, 0) + 1
+    top = max(seq)
+    frontier = [(v, c + 1) for v, c in counts.items()]
+    frontier += [(w, 1) for w in range(1, top) if w not in counts]
+    frontier.append((top + 1, 1))
+
+    last_s, last_a = pairs[-1]
+    for fi, fj in frontier:
+        dv, dj = fi - last_s, last_a - fj
+        if dj > 0:
+            tighten_upper(Fraction(dv, dj))
+        elif dj < 0:
+            tighten_lower(Fraction(dv, dj))
+        elif dv < 0:
+            return EMPTY_INTERVAL
+
+    return _interval(lo, lo_closed, hi, hi_closed)
+
+
+def assert_matches_fraction_oracle(prefix):
+    got, want = theta_interval_from_prefix(prefix), fraction_interval_from_prefix(prefix)
+    assert got == want and str(got) == str(want), prefix
+    return got
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_integer_pairs_match_fraction_oracle(prefix):
+    assert_matches_fraction_oracle(prefix)
+
+
+def signature_prefixes_with_faults(seed=41):
+    """Intact prefixes of rational and surd signatures, and each with one
+    adjacent swap and one term bumped by one."""
+    rng = random.Random(seed)
+    for text in ("sqrt(13)", "22/7", "1/3", "(1+sqrt(5))/2", "7/2", "3", "2/5"):
+        values = [t.value for t in generate_signature(parse_theta(text), 2000)]
+        for n in (1, 2, 3, 5, 8, 13, 40, 200, 2000):
+            prefix = values[:n]
+            yield prefix
+            if n >= 2:
+                k = rng.randrange(n - 1)
+                yield prefix[:k] + [prefix[k + 1], prefix[k]] + prefix[k + 2:]
+                k = rng.randrange(n)
+                bump = rng.choice((-1, 1)) if prefix[k] > 1 else 1
+                yield prefix[:k] + [prefix[k] + bump] + prefix[k + 1:]
+
+
+def test_integer_pairs_match_fraction_oracle_on_signatures():
+    ivs = [assert_matches_fraction_oracle(p) for p in signature_prefixes_with_faults()]
+    assert any(iv.is_empty for iv in ivs)
+    assert any(iv.hi is None for iv in ivs)
+    assert any(iv.is_point for iv in ivs)
+    assert any(iv.lo_closed and iv.lo > 0 for iv in ivs)
 
 
 # --- membership ---------------------------------------------------------------
