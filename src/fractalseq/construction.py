@@ -11,9 +11,8 @@ both predict the stretch separating the new block's n from its n+1:
 * the seam seen from below: the values strictly between the last n-1
   and the last n, each raised by 1 (lower trimming maps the new seam
   back onto that window);
-* the seam seen from above: the previous block's seam verbatim, the
-  values strictly between that block's closing n and the following
-  first occurrence of n+1 (upper trimming maps the new seam onto it).
+* the seam seen from above: the seam merged at the previous step,
+  which the state stores (upper trimming maps the new seam onto it).
 
 The two windows agree except that the one from below carries a single
 fresh-class value and the one from above carries a single 1.  Merging
@@ -26,8 +25,10 @@ The merged seam is cut at its 1: the part before the 1 is appended to
 the sequence, and the signed offset between the 1 and the fresh-class
 value dictates where fresh values are woven into the next block (offset
 -d places each fresh value d positions after its main term, positive
-offsets place it before).  A weave position is used only if it falls
-inside the developing block, between its leading 1 and its final n.
+offsets place it before).  So a slot of the new block is fresh exactly
+when the slot d places before it (after it, for a positive offset)
+holds a main term.  A weave position is used only if it falls inside
+the developing block, between its leading 1 and its final n.
 
 Rather than trusting any of this blindly, every completed extension is
 validated and rejected loudly if it fails.  Each run keeps an
@@ -60,12 +61,15 @@ class ConstructionError(ValueError):
 class ConstructionState:
     """Mutable state of one construction run.
 
-    ``block_starts`` holds the 1-based index of each block's leading 1;
-    ``fresh`` is always 1 + max(terms); ``branch_log`` records the
-    Branch taken at every genuine fork, in order; ``checker`` has
-    validated the terms up to the last step.  Between steps ``terms``
-    only grows: editing terms that were already checked is outside the
-    contract, and the next step would not notice it.
+    ``block_starts`` holds the 1-based index of each block's leading 1,
+    and the last term is always the last block's closing n;
+    ``fresh`` is always 1 + max(terms); ``seam`` is the seam merged at
+    the last step, which is the next step's seam seen from above;
+    ``branch_log`` records the Branch taken at every genuine fork, in
+    order; ``checker`` has validated the terms up to the last step.
+    Between steps ``terms`` only grows: editing terms that were already
+    checked is outside the contract, and the next step would not notice
+    it.
     """
 
     n: int
@@ -75,14 +79,15 @@ class ConstructionState:
     branch_log: list[Branch] = field(default_factory=list)
     checker: PrefixChecker = field(default_factory=PrefixChecker, repr=False,
                                    compare=False)
+    seam: tuple[int, ...] = ()
 
     @property
     def blocks(self) -> int:
         return len(self.block_starts)
 
     def clone(self) -> "ConstructionState":
-        return ConstructionState(self.n, list(self.terms), list(self.block_starts),
-                                 self.fresh, list(self.branch_log), self.checker.copy())
+        return ConstructionState(self.n, list(self.terms), list(self.block_starts), self.fresh,
+                                 list(self.branch_log), self.checker.copy(), self.seam)
 
 
 def init_ramp(n: int) -> ConstructionState:
@@ -97,45 +102,26 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     n = state.n
     if state.blocks != 1 or state.terms != list(range(1, n + 1)):
         raise ConstructionError("second block can only follow the bare seed")
+    state.seam = (1,)
     return _append_block(state, (), _weave_forward(state.terms, n, 1), "second block")
-
-
-def _last_index(terms: Sequence[int], value: int, before: Optional[int] = None) -> Optional[int]:
-    hi = len(terms) if before is None else before
-    for k in range(hi - 1, -1, -1):
-        if terms[k] == value:
-            return k
-    return None
 
 
 def seam_below(state: ConstructionState) -> list[int]:
     """The coming seam as predicted by lower trimming.
 
-    Values strictly between the last occurrence of n-1 and the last
-    occurrence of n, each raised by 1.
+    Values strictly between the last block's one n-1 and its closing n,
+    each raised by 1.
     """
     _require_blocks(state, 2)
-    a = _last_index(state.terms, state.n - 1)
-    b = _last_index(state.terms, state.n)
-    if a is None or b is None or a >= b:
-        raise ConstructionError("malformed state: cannot locate the closing mains")
-    return [x + 1 for x in state.terms[a + 1:b]]
+    a = state.terms.index(state.n - 1, state.block_starts[-1] - 1)
+    return [x + 1 for x in state.terms[a + 1:-1]]
 
 
 def seam_above(state: ConstructionState) -> list[int]:
-    """The coming seam as predicted by upper trimming.
-
-    The previous block's seam verbatim: the values strictly between
-    that block's closing n and the following first occurrence of n+1.
-    """
+    """The coming seam as predicted by upper trimming: the seam merged
+    at the previous step, which the state stores."""
     _require_blocks(state, 2)
-    b = _last_index(state.terms, state.n + 1)
-    if b is None:
-        raise ConstructionError("malformed state: no occurrence of n+1")
-    a = _last_index(state.terms, state.n, before=b)
-    if a is None:
-        raise ConstructionError("malformed state: no n before the last n+1")
-    return state.terms[a + 1:b]
+    return list(state.seam)
 
 
 def _require_blocks(state: ConstructionState, k: int) -> None:
@@ -147,17 +133,13 @@ def _require_blocks(state: ConstructionState, k: int) -> None:
 class SeamMerge:
     """Outcome of merging the two seam windows.
 
-    ``merged`` restricted to non-1 values equals ``below``, and
-    restricted to everything but ``fresh_value`` equals ``above``.
-    ``offset`` is (1-based position of 1) - (position of fresh_value)
-    within ``merged``.
+    ``merged`` restricted to non-1 values equals the seam from below,
+    and restricted to everything but ``fresh_value`` equals the seam
+    from above.  ``offset`` is (1-based position of 1) - (position of
+    fresh_value) within ``merged``.
     """
 
-    below: tuple[int, ...]
-    above: tuple[int, ...]
     fresh_value: int
-    pos_fresh: int  # 1-based position of fresh_value in `below`
-    pos_one: int    # 1-based position of 1 in `above`
     merged: tuple[int, ...]
     offset: int
 
@@ -188,8 +170,7 @@ def _merge_positions(below: Sequence[int], above: Sequence[int]):
 
 def needs_branch(state: ConstructionState) -> bool:
     """True when the next extension step genuinely forks."""
-    below, above = seam_below(state), seam_above(state)
-    _, gap_fresh, gap_one, _ = _merge_positions(below, above)
+    _, gap_fresh, gap_one, _ = _merge_positions(seam_below(state), seam_above(state))
     return gap_fresh == gap_one
 
 
@@ -201,7 +182,6 @@ def merge_seams(below: Sequence[int], above: Sequence[int],
     the same slot; otherwise the merge is forced and ``branch`` must be
     None.
     """
-    below, above = list(below), list(above)
     common, gap_fresh, gap_one, fresh_value = _merge_positions(below, above)
     if gap_fresh == gap_one and branch is None:
         raise ConstructionError("merge is ambiguous here: a Branch is required")
@@ -212,31 +192,22 @@ def merge_seams(below: Sequence[int], above: Sequence[int],
     merged.insert(gap_fresh, fresh_value)
     merged.insert(gap_one + (gap_one > gap_fresh or branch is Branch.FRESH_FIRST), 1)
     offset = merged.index(1) - merged.index(fresh_value)
-    return SeamMerge(tuple(below), tuple(above), fresh_value,
-                     gap_fresh + 1, gap_one + 1, tuple(merged), offset)
+    return SeamMerge(fresh_value, tuple(merged), offset)
 
 
 def _weave_forward(replay: Sequence[int], n: int, gap: int) -> list[Optional[int]]:
     """Replay a block, dropping a None slot `gap` positions after each main term.
 
-    Slots are absolute positions in the output; a scheduled slot beyond
-    the final replayed term (the block's closing n) is discarded, which
-    is exactly the in-block bound on weave positions.
+    A slot is fresh exactly when the slot `gap` places before it holds a
+    main term (a value up to n).  Nothing follows the final replayed
+    term (the block's closing n), which is exactly the in-block bound on
+    weave positions.
     """
     out: list[Optional[int]] = []
-    sched: set[int] = set()
-    k = 0
-    while k < len(replay):
-        pos = len(out) + 1
-        if pos in sched:
-            sched.discard(pos)
+    for term in replay:
+        while len(out) >= gap and out[-gap] is not None and out[-gap] <= n:
             out.append(None)
-            continue
-        term = replay[k]
-        k += 1
         out.append(term)
-        if term <= n:
-            sched.add(len(out) + gap)
     return out
 
 
@@ -257,6 +228,7 @@ def extend_next_block(state: ConstructionState,
     replay = state.terms[state.block_starts[-1] - 1:]
     if branch is not None:
         state.branch_log.append(branch)
+    state.seam = plan.merged
     return _append_block(state, plan.carry, _weave(replay, state.n, plan.offset),
                          f"block {state.blocks + 1}")
 
@@ -293,8 +265,8 @@ def _validate(state: ConstructionState, step: str) -> None:
 BranchSpec = Union[None, Branch, Sequence[Branch]]
 
 
-def _branch_feed(branches: BranchSpec) -> Callable[[], tuple[Branch, ...]]:
-    """Turn a branch policy into a per-fork supplier of one choice.
+def _branch_feed(branches: BranchSpec) -> Iterator[tuple[Branch, ...]]:
+    """Turn a branch policy into a per-fork stream of one-choice tuples.
 
     None defaults every fork to ONE_FIRST; a single Branch repeats; an
     explicit sequence is consumed in fork order and must cover every
@@ -302,31 +274,29 @@ def _branch_feed(branches: BranchSpec) -> Callable[[], tuple[Branch, ...]]:
     """
     if branches is None:
         branches = Branch.ONE_FIRST
-    feed = repeat(branches) if isinstance(branches, Branch) else iter(branches)
-
-    def supply() -> tuple[Branch, ...]:
-        choice = next(feed, None)
-        if choice is None:
-            raise ConstructionError("branch list exhausted: the construction "
-                                    "forked more often than choices were given")
-        return (choice,)
-
-    return supply
+    if isinstance(branches, Branch):
+        return repeat((branches,))
+    return ((b,) for b in branches)
 
 
 def _runs(state: ConstructionState, more: Callable[[ConstructionState], bool],
-          choices: Callable[[], tuple[Branch, ...]]) -> Iterator[ConstructionState]:
+          choices: Iterator[tuple[Branch, ...]]) -> Iterator[ConstructionState]:
     """Grow ``state`` block by block while ``more(state)`` holds; yield each run.
 
     A one-block state gets the forced second block.  At a fork each
-    Branch in ``choices()`` but the last grows a clone, whose runs are
-    yielded first; the last grows ``state``.  One choice, one run.
+    Branch in the next tuple of ``choices`` but the last grows a clone,
+    whose runs are yielded first; the last grows ``state``.  One choice,
+    one run.
     """
     while more(state):
         if state.blocks == 1:
             extend_second_block(state)
         elif needs_branch(state):
-            *others, last = choices()
+            picks = next(choices, None)
+            if picks is None:
+                raise ConstructionError("branch list exhausted: the construction "
+                                        "forked more often than choices were given")
+            *others, last = picks
             for choice in others:
                 yield from _runs(extend_next_block(state.clone(), choice), more, choices)
             extend_next_block(state, last)
@@ -356,7 +326,7 @@ def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[i
     """
     _require_count("blocks", blocks)
     return [(tuple(run.branch_log), list(run.terms))
-            for run in _runs(init_ramp(n), lambda s: s.blocks < blocks, lambda: tuple(Branch))]
+            for run in _runs(init_ramp(n), lambda s: s.blocks < blocks, repeat(tuple(Branch)))]
 
 
 def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int]:

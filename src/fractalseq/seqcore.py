@@ -75,18 +75,19 @@ def occurrence_index(terms: Iterable[int], value: int, k: int) -> Optional[int]:
 
 
 def annotate_ranks(terms: Iterable[int]) -> list[AnnotatedTerm]:
-    """Pair every term with its occurrence rank, in one left-to-right pass."""
-    counts: dict[int, int] = {}
-    out: list[AnnotatedTerm] = []
-    for v in terms:
-        counts[v] = counts.get(v, 0) + 1
-        out.append(AnnotatedTerm(v, counts[v]))
-    return out
+    """Pair every term with its occurrence rank."""
+    seq = list(terms)
+    return list(map(AnnotatedTerm, seq, rank_stream(seq)))
 
 
 def rank_stream(terms: Iterable[int]) -> list[int]:
-    """Just the rank column of :func:`annotate_ranks`."""
-    return [t.rank for t in annotate_ranks(terms)]
+    """The occurrence rank of every term, in one left-to-right pass."""
+    counts: dict[int, int] = {}
+    out: list[int] = []
+    for v in terms:
+        counts[v] = rank = counts.get(v, 0) + 1
+        out.append(rank)
+    return out
 
 
 class SegmentKind(Enum):

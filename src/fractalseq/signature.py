@@ -114,6 +114,7 @@ class Surd:
     def sqrt(d: int) -> "ExactNumber":
         return Surd.make(0, 1, d)
 
+    # Unused in the package; perfbench/workloads.py calls it.
     def sign(self) -> int:
         return surd_sign(self.a, self.b, self.d)
 
@@ -143,7 +144,7 @@ def as_exact(theta) -> ExactNumber:
 def theta_sign(theta: ExactNumber) -> int:
     if isinstance(theta, Fraction):
         return _sign(theta.numerator)
-    return theta.sign()
+    return surd_sign(theta.a, theta.b, theta.d)
 
 
 def _require_positive(theta: ExactNumber) -> None:

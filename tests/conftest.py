@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fractalseq import Surd
+from fractalseq.signature import theta_sign
 
 
 def make_theta_sample(n_rational=25, n_surd=25, seed=20250808):
@@ -20,7 +21,7 @@ def make_theta_sample(n_rational=25, n_surd=25, seed=20250808):
     while surds < n_surd:
         t = Surd.make(rng.randint(-5, 9), rng.randint(1, 6),
                       rng.choice([2, 3, 5, 7, 13]), rng.randint(1, 8))
-        if isinstance(t, Surd) and t.sign() > 0 and t not in seen:
+        if isinstance(t, Surd) and theta_sign(t) > 0 and t not in seen:
             seen.add(t)
             thetas.append(t)
             surds += 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fractalseq import construction
-from fractalseq import (Branch, ConstructionError, annotate_ranks,
+from fractalseq import (Branch, ConstructionError,
                         check_doubly_fractal_prefix, construct_ones,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
@@ -368,6 +368,93 @@ def test_clone_checks_its_own_blocks(monkeypatch):
         extend_next_block(state, ONE if needs_branch(state) else None)
 
 
+# --- the one-loop weave and the stored seam against their first forms ---------
+
+def scheduled_weave_forward(replay, n, gap):
+    """The weave as first written, kept as the oracle of the one-loop
+    rule: schedule the slot `gap` after each main term, and read the
+    replay with a separate pointer."""
+    out = []
+    sched = set()
+    k = 0
+    while k < len(replay):
+        pos = len(out) + 1
+        if pos in sched:
+            sched.discard(pos)
+            out.append(None)
+            continue
+        term = replay[k]
+        k += 1
+        out.append(term)
+        if term <= n:
+            sched.add(len(out) + gap)
+    return out
+
+
+def _last_index(terms, value, before=None):
+    hi = len(terms) if before is None else before
+    for k in range(hi - 1, -1, -1):
+        if terms[k] == value:
+            return k
+    return None
+
+
+def scanned_seams(state):
+    """The two seams as first found, kept as the oracle of `seam_below`
+    and the stored seam: scan `terms` backwards for the closing mains."""
+    a = _last_index(state.terms, state.n - 1)
+    b = _last_index(state.terms, state.n)
+    assert a is not None and b is not None and a < b
+    below = [x + 1 for x in state.terms[a + 1:b]]
+    b = _last_index(state.terms, state.n + 1)
+    assert b is not None
+    a = _last_index(state.terms, state.n, before=b)
+    assert a is not None
+    return below, state.terms[a + 1:b]
+
+
+@given(st.lists(st.integers(1, 12), max_size=30), st.integers(2, 6), st.data())
+def test_one_loop_weave_matches_scheduled_oracle(replay, n, data):
+    gap = data.draw(st.integers(1, len(replay) + 1))
+    assert construction._weave_forward(replay, n, gap) == scheduled_weave_forward(replay, n, gap)
+
+
+def test_one_loop_weave_matches_scheduled_oracle_on_real_steps():
+    rng = random.Random(2024)
+    signs = set()
+    for n in (2, 3, 4, 5, 7, 9):
+        state = construct_ramp_state(n, 2)
+        for _ in range(60):
+            branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
+            offset = merge_seams(seam_below(state), seam_above(state), branch).offset
+            replay = state.terms[state.block_starts[-1] - 1:]
+            if offset > 0:
+                replay = replay[::-1]
+            assert (construction._weave_forward(replay, n, abs(offset))
+                    == scheduled_weave_forward(replay, n, abs(offset))), (n, state.blocks)
+            signs.add(offset > 0)
+            extend_next_block(state, branch)
+    assert signs == {False, True}
+
+
+def test_stored_seams_match_scans_on_both_sides_of_every_fork():
+    rng = random.Random(77)
+    forks = 0
+    for n in range(2, 10):
+        state = construct_ramp_state(n, 2)
+        while True:
+            assert (seam_below(state), seam_above(state)) == scanned_seams(state)
+            if state.blocks == 120:
+                break
+            branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
+            if branch is not None:
+                other = extend_next_block(state.clone(), FRESH if branch is ONE else ONE)
+                assert (seam_below(other), seam_above(other)) == scanned_seams(other)
+                forks += 1
+            extend_next_block(state, branch)
+    assert forks > 50
+
+
 # --- branch enumeration ---------------------------------------------------------
 
 def test_enumerate_two_outcomes_at_first_fork():
@@ -433,7 +520,8 @@ def test_ones_equals_rank_stream_of_source_at_scale():
     while len(state.terms) < 10_000:
         extend_next_block(state, ONE if needs_branch(state) else None)
     length = 10_000
-    expected = [t.rank for t in annotate_ranks(state.terms[:length])]
+    xs = state.terms[:length]
+    expected = [xs[:h + 1].count(xs[h]) for h in range(length)]
     assert construct_ones(3, length, ONE) == expected
     assert rank_stream(state.terms[:length]) == expected
 

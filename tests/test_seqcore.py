@@ -126,6 +126,19 @@ def test_rank_stream_matches_annotation(seq):
     assert rank_stream(seq) == [t.rank for t in annotate_ranks(seq)]
 
 
+def recounted_ranks(xs):
+    """Occurrence ranks by recounting every prefix, the oracle of the
+    one-pass count in `rank_stream`."""
+    return [xs[:h + 1].count(xs[h]) for h in range(len(xs))]
+
+
+@given(small_seqs)
+def test_ranks_match_recounting_oracle(seq):
+    ranks = recounted_ranks(seq)
+    assert rank_stream(iter(seq)) == ranks
+    assert annotate_ranks(iter(seq)) == [AnnotatedTerm(v, r) for v, r in zip(seq, ranks)]
+
+
 # --- initial segment classification --------------------------------------
 
 @pytest.mark.parametrize("seq,kind,n", [
