@@ -1,33 +1,30 @@
 """Signature sequences of exact reals, trimming operators, block
-constructions of doubly fractal sequences, and parameter recovery."""
+constructions of doubly fractal sequences, and parameter recovery.
 
-from .construction import (Branch, ConstructionError, ConstructionState,
-                           SeamMerge, construct_ones, construct_ramp_state,
-                           enumerate_ramp, extend_next_block,
-                           extend_second_block, init_ramp, merge_seams,
-                           needs_branch, seam_above, seam_below)
-from .inverse import (EMPTY_INTERVAL, ThetaInterval, first_divergence,
-                      seed_interval, theta_interval_from_prefix)
-from .seqcore import (AnnotatedTerm, FractalCheck, InitialSegment, SegmentKind,
-                      annotate_ranks, check_doubly_fractal_prefix,
-                      classify_initial_segment, lower_trim, occurrence_index,
-                      parse_terms, rank_stream, upper_trim)
-from .signature import (ExactNumber, Surd, brute_force_signature,
-                        compare_affine, generate_signature, parse_theta,
-                        signature_terms)
+Each public name loads its module on first use (PEP 562): a CLI command
+is mostly interpreter start-up, and importing the package loads nothing.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedTerm", "Branch", "ConstructionError", "ConstructionState",
-    "EMPTY_INTERVAL", "ExactNumber", "FractalCheck", "InitialSegment",
-    "SeamMerge", "SegmentKind", "Surd", "ThetaInterval", "annotate_ranks",
-    "brute_force_signature", "check_doubly_fractal_prefix",
-    "classify_initial_segment", "compare_affine", "construct_ones",
-    "construct_ramp_state", "enumerate_ramp",
-    "extend_next_block", "extend_second_block", "first_divergence",
-    "generate_signature", "init_ramp", "lower_trim", "merge_seams",
-    "needs_branch", "occurrence_index", "parse_terms", "parse_theta",
-    "rank_stream", "seam_above", "seam_below", "seed_interval",
-    "signature_terms", "theta_interval_from_prefix", "upper_trim",
-]
+_MODULE_OF = {name: module for module, names in {
+    "construction": """Branch ConstructionState SeamMerge construct_ones construct_ramp_state
+        enumerate_ramp extend_next_block extend_second_block init_ramp merge_seams
+        needs_branch seam_above seam_below""",
+    "inverse": """EMPTY_INTERVAL ThetaInterval first_divergence seed_interval
+        theta_interval_from_prefix""",
+    "seqcore": """AnnotatedTerm ConstructionError FractalCheck InitialSegment SegmentKind
+        annotate_ranks check_doubly_fractal_prefix classify_initial_segment lower_trim
+        occurrence_index parse_terms rank_stream upper_trim""",
+    "signature": """ExactNumber Surd brute_force_signature compare_affine generate_signature
+        parse_theta signature_terms""",
+}.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

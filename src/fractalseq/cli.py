@@ -11,6 +11,11 @@ and larger chunks raise peak memory for no measurable speed.
 Exit codes: 0 success, 1 domain error (a failed check, an EMPTY
 interval under --expect-nonempty, an impossible construction), 2 usage
 error (malformed theta, bad counts, unreadable input).
+
+Only ``seqcore`` loads eagerly, as a command is mostly interpreter
+start-up.  ``main`` binds a command's names from ``_COMMAND_NAMES`` just
+before it runs it and keeps a name already bound: perfbench/tracer.py
+reads them through the module ``__getattr__`` and rebinds them first.
 """
 from __future__ import annotations
 
@@ -20,13 +25,24 @@ import sys
 from itertools import islice
 from typing import Iterable, Optional
 
-# construct_ones is unused here; perfbench/tracer.py looks up cli.construct_ones.
-from .construction import (Branch, ConstructionError, construct_ramp_state,
-                           construct_ones, enumerate_ramp)
-from .inverse import first_divergence, theta_interval_from_prefix
-from .seqcore import (check_doubly_fractal_prefix, lower_trim, parse_terms,
-                      rank_stream, upper_trim)
-from .signature import generate_signature, parse_theta
+from .seqcore import (ConstructionError, check_doubly_fractal_prefix, lower_trim,
+                      parse_terms, rank_stream, upper_trim)
+
+# What each command takes from construction, inverse and signature;
+# construct_ones is here only for the tracer.
+_COMMAND_NAMES = {
+    "generate": ("generate_signature", "parse_theta"),
+    "construct": ("Branch", "construct_ones", "construct_ramp_state", "enumerate_ramp"),
+    "invert": ("theta_interval_from_prefix",),
+    "diverge": ("first_divergence", "parse_theta"),
+}
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _COMMAND_NAMES.values()):
+        return getattr(sys.modules[__package__], name)  # loads the module on first use
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _DEFAULT_MAX_TERMS = 10 ** 6
 _CHUNK_LINES = 256
@@ -144,9 +160,11 @@ def _cmd_construct(args) -> int:
     if args.n < 2:
         raise _UsageError(f"need --n >= 2, got {args.n}")
     cap = _max_terms()
-    if args.n * args.blocks > cap:  # every block holds 1..n
-        raise _UsageError(f"--n {args.n} times --blocks {args.blocks} exceeds the cap "
-                          f"of {cap} (override with FRACTALSEQ_MAX_TERMS)")
+    # Block j holds at least 1 + (n-1)*j terms, so no run that fits is refused.
+    least = args.blocks + (args.n - 1) * args.blocks * (args.blocks + 1) // 2
+    if least > cap:
+        raise _UsageError(f"--n {args.n} and --blocks {args.blocks} make at least {least} "
+                          f"terms, above the cap of {cap} (override with FRACTALSEQ_MAX_TERMS)")
 
     if args.enumerate:
         rows = enumerate_ramp(args.n, args.blocks)
@@ -257,6 +275,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    for name in _COMMAND_NAMES.get(args.command, ()):
+        globals().setdefault(name, __getattr__(name))  # keeps a traced rebinding
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -38,12 +38,12 @@ block; the full prefix checker runs only to describe a failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .seqcore import PrefixChecker, check_doubly_fractal_prefix, rank_stream
+from .seqcore import (ConstructionError, PrefixChecker, check_doubly_fractal_prefix,
+                      rank_stream)
 
 
 class Branch(Enum):
@@ -53,11 +53,6 @@ class Branch(Enum):
     FRESH_FIRST = 1
 
 
-class ConstructionError(ValueError):
-    """A construction step was invalid or produced a non-fractal prefix."""
-
-
-@dataclass
 class ConstructionState:
     """Mutable state of one construction run.
 
@@ -72,14 +67,15 @@ class ConstructionState:
     it.
     """
 
-    n: int
-    terms: list[int]
-    block_starts: list[int]
-    fresh: int
-    branch_log: list[Branch] = field(default_factory=list)
-    checker: PrefixChecker = field(default_factory=PrefixChecker, repr=False,
-                                   compare=False)
-    seam: tuple[int, ...] = ()
+    __slots__ = ("n", "terms", "block_starts", "fresh", "branch_log", "checker", "seam")
+
+    def __init__(self, n: int, terms: list[int], block_starts: list[int], fresh: int,
+                 branch_log: Optional[list[Branch]] = None,
+                 checker: Optional[PrefixChecker] = None, seam: tuple[int, ...] = ()) -> None:
+        self.n, self.terms, self.block_starts, self.fresh = n, terms, block_starts, fresh
+        self.branch_log = [] if branch_log is None else branch_log
+        self.checker = PrefixChecker() if checker is None else checker
+        self.seam = seam
 
     @property
     def blocks(self) -> int:
@@ -129,8 +125,7 @@ def _require_blocks(state: ConstructionState, k: int) -> None:
         raise ConstructionError(f"need at least {k} blocks, have {state.blocks}")
 
 
-@dataclass(frozen=True)
-class SeamMerge:
+class SeamMerge(NamedTuple):
     """Outcome of merging the two seam windows.
 
     ``merged`` restricted to non-1 values equals the seam from below,

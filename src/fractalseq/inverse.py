@@ -28,18 +28,16 @@ not the bound flag, is the arbiter at endpoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 # annotate_ranks is unused here; perfbench/tracer.py looks up inverse.annotate_ranks.
 from .seqcore import SegmentKind, annotate_ranks
 from .signature import as_exact, compare_with_rational, signature_terms
 
 
-@dataclass(frozen=True)
-class ThetaInterval:
+class ThetaInterval(NamedTuple):
     """An interval of parameters with exact rational endpoints.
 
     ``hi`` is None when unbounded above.  The lower endpoint is always

@@ -13,9 +13,12 @@ the self-similarity property.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+
+class ConstructionError(ValueError):
+    """A construction step was invalid or produced a non-fractal prefix."""
 
 
 class AnnotatedTerm(NamedTuple):
@@ -105,8 +108,7 @@ class SegmentKind(Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class InitialSegment:
+class InitialSegment(NamedTuple):
     kind: SegmentKind
     n: Optional[int] = None
 
@@ -148,8 +150,7 @@ def classify_initial_segment(terms: Iterable[int]) -> InitialSegment:
     return InitialSegment(SegmentKind.INVALID)
 
 
-@dataclass(frozen=True)
-class FractalCheck:
+class FractalCheck(NamedTuple):
     """Result of the doubly-fractal prefix test.
 
     ``first_violation_index`` is the earliest 1-based position (across

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count, islice
@@ -52,7 +51,6 @@ def surd_sign(a: int, b: int, d: int) -> int:
     return _sign(t) if a > 0 else -_sign(t)
 
 
-@dataclass(frozen=True, eq=False)
 class Surd:
     """Exact value (a + b*sqrt(d)) / c.
 
@@ -61,23 +59,34 @@ class Surd:
     have different fields; ``==`` and ``hash`` compare values.
     Build values through :meth:`make` (or :func:`parse_theta`), which
     normalizes and collapses rational cases to ``Fraction``; the raw
-    constructor rejects anything not already in normal form.
+    constructor rejects anything not already in normal form.  Fields
+    cannot be assigned or deleted.
     """
 
-    a: int
-    b: int
-    d: int
-    c: int = 1
+    __slots__ = ("a", "b", "d", "c")
 
-    def __post_init__(self) -> None:
-        if self.c < 1:
+    def __init__(self, a: int, b: int, d: int, c: int = 1) -> None:
+        if c < 1:
             raise ValueError("denominator must be positive")
-        if self.b == 0:
+        if b == 0:
             raise ValueError("b = 0 is rational; use Fraction")
-        if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:
+        if d < 2 or math.isqrt(d) ** 2 == d:
             raise ValueError("d must be >= 2 and not a square")
-        if math.gcd(self.a, self.b, self.c) != 1:
+        if math.gcd(a, b, c) != 1:
             raise ValueError("components must have no common factor")
+        for name, value in zip(Surd.__slots__, (a, b, d, c)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Surd(a={self.a!r}, b={self.b!r}, d={self.d!r}, c={self.c!r})"
+
+    def __reduce__(self):
+        return Surd, (self.a, self.b, self.d, self.c)
 
     def _key(self) -> tuple[Fraction, Fraction]:
         # The rational part and the signed square of b*sqrt(d)/c.  Equal

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
 
 from fractalseq import (construct_ramp_state, enumerate_ramp, generate_signature,
@@ -219,7 +221,7 @@ def test_construct_rejects_bad_branch_bits(capsys, monkeypatch):
 
 
 def test_construct_refuses_more_than_cap_main_terms(capsys, monkeypatch):
-    # Every block holds 1..n, so a run has at least n * blocks terms.
+    # Block j holds at least 1 + (n-1)*j terms: 7 blocks with n = 3 take 63.
     monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "20")
     code, out, err = run_cli(capsys, monkeypatch,
                              ["construct", "--n", "3", "--blocks", "7"])
@@ -227,8 +229,18 @@ def test_construct_refuses_more_than_cap_main_terms(capsys, monkeypatch):
     assert err.startswith("error:") and "cap of 20" in err
 
 
+@pytest.mark.parametrize("n, blocks, cap", [("2", "500", "1000"), ("4", "5", "49")])
+def test_construct_refuses_by_least_run_length(capsys, monkeypatch, n, blocks, cap):
+    # n = 2 and 500 blocks make at least 125,750 terms, far above n * blocks.
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", cap)
+    code, out, err = run_cli(capsys, monkeypatch, ["construct", "--n", n, "--blocks", blocks])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"cap of {cap}" in err
+
+
 def test_construct_accepts_exactly_cap_main_terms(capsys, monkeypatch):
-    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "20")
+    # 50 is the least length of 5 blocks with n = 4; this run has 52 terms.
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "50")
     code, out, err = run_cli(capsys, monkeypatch,
                              ["construct", "--n", "4", "--blocks", "5",
                               "--branches", "0,1"])
@@ -389,3 +401,70 @@ def test_subprocess_entry_point(tmp_path):
         capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0
     assert proc.stdout == "1\n2\n3\n4\n1\n"
+
+
+# --- lazy loading ------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def test_tracer_reads_every_cli_name_before_main():
+    # A fresh process: no command has run, so nothing is bound yet.
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); from tracer import TRACED; "
+              "from fractalseq import cli; "
+              "names = [a for m, a, *_ in TRACED if m == 'cli']; "
+              "print(len(names), [a for a in names if not callable(getattr(cli, a, None))])")
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=SRC_ENV, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "11 []\n"
+
+
+@pytest.mark.parametrize("name, argv, stdin", [
+    ("parse_theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
+    ("generate_signature", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
+    ("construct_ramp_state", ["construct", "--n", "4"], ""),
+    ("theta_interval_from_prefix", ["invert"], "1 2 3 4 1 5\n"),
+    ("first_divergence", ["diverge", "sqrt(2)", "3/2"], ""),
+])
+def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
+    real, calls = getattr(cli, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    code, _, err = run_cli(capsys, monkeypatch, argv, stdin)
+    assert (code, err) == (0, "") and calls
+
+
+LOADED_BY = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["fractalseq"] + sys.argv[1:]
+try:
+    runpy.run_module("fractalseq", run_name="__main__")
+except SystemExit:
+    pass
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("argv, stdin, absent", [
+    (["generate", "--theta", "sqrt(13)", "--count", "5"], "",
+     {"fractalseq.construction", "fractalseq.inverse"}),
+    (["check"], "1 2 1 3\n", {"fractalseq.signature", "fractions"}),
+    (["trim", "--upper"], "1 2 1 3\n", {"fractalseq.signature", "fractions"}),
+    (["construct", "--n", "4"], "", {"fractalseq.inverse", "fractalseq.signature"}),
+    (["invert"], "1 2 3 4 1 5\n", set()),
+    (["diverge", "sqrt(2)", "3/2"], "", {"fractalseq.construction"}),
+])
+def test_each_command_loads_only_what_it_runs(argv, stdin, absent):
+    # -S keeps site hooks of the environment out of the picture.
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_BY] + argv, input=stdin,
+                          capture_output=True, text=True, env=SRC_ENV, check=False)
+    loaded = set(proc.stderr.split())
+    assert "fractalseq.cli" in loaded and proc.stdout
+    assert not loaded & ({"dataclasses", "inspect"} | absent)

@@ -273,6 +273,16 @@ def test_fresh_counter_invariant():
     assert state.fresh == max(state.terms) + 1
 
 
+@given(st.integers(2, 9), st.integers(1, 60), st.randoms(use_true_random=False))
+def test_block_lengths_lie_between_the_cap_bounds(n, blocks, rng):
+    # Block j holds 1 + (n-1)*j to 1 + n*j terms; the CLI's term cap
+    # refuses a construction by the sum of the lower bounds.
+    state = construct_ramp_state(n, blocks, [rng.choice([ONE, FRESH]) for _ in range(blocks)])
+    ends = state.block_starts[1:] + [len(state.terms) + 1]
+    for j, (start, end) in enumerate(zip(state.block_starts, ends), start=1):
+        assert 1 + (n - 1) * j <= end - start <= 1 + n * j
+
+
 def test_construct_rejects_exhausted_branch_list():
     with pytest.raises(ConstructionError):
         construct_ramp_state(4, 5, [ONE])
