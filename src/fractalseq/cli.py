@@ -9,8 +9,9 @@ PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
 and larger chunks raise peak memory for no measurable speed.
 
 Exit codes: 0 success, 1 domain error (a failed check, an EMPTY
-interval under --expect-nonempty, an impossible construction), 2 usage
-error (malformed theta, bad counts, unreadable input).
+interval under --expect-nonempty, a ``ConstructionError``), 2 usage
+error (any other ``ValueError``: malformed theta, bad counts, unreadable
+input, output above the ``FRACTALSEQ_MAX_TERMS`` cap).
 
 Only ``seqcore`` loads eagerly, as a command is mostly interpreter
 start-up.  ``main`` binds a command's names from ``_COMMAND_NAMES`` just
@@ -48,28 +49,27 @@ _DEFAULT_MAX_TERMS = 10 ** 6
 _CHUNK_LINES = 256
 
 
-def _max_terms() -> int:
+def _require_within_cap(terms: int, what: str) -> None:
     raw = os.environ.get("FRACTALSEQ_MAX_TERMS", "")
-    if not raw:
-        return _DEFAULT_MAX_TERMS
     try:
-        return _positive_int(raw)
+        cap = _positive_int(raw) if raw else _DEFAULT_MAX_TERMS
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"FRACTALSEQ_MAX_TERMS: {exc}") from None
+        raise ValueError(f"FRACTALSEQ_MAX_TERMS: {exc}") from None
+    if terms > cap:
+        raise ValueError(f"{what} {terms} exceeds the cap of {cap} "
+                         "(override with FRACTALSEQ_MAX_TERMS)")
 
 
 def _positive_int(text: str) -> int:
     try:
+        if not text.isascii() or "_" in text:  # int() also reads '1_0' and non-ASCII digits
+            raise ValueError
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _read_terms(path: Optional[str]) -> list[int]:
@@ -80,11 +80,8 @@ def _read_terms(path: Optional[str]) -> list[int]:
             with open(path, "r", encoding="ascii") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read input: {exc}") from None
-    try:
-        return parse_terms(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(f"cannot read input: {exc}") from None
+    return parse_terms(text)
 
 
 def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:
@@ -94,7 +91,7 @@ def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:
     for tok in text.split(","):
         tok = tok.strip()
         if tok not in ("0", "1"):
-            raise _UsageError(f"branch bits must be 0 or 1, got {tok!r}")
+            raise ValueError(f"branch bits must be 0 or 1, got {tok!r}")
         out.append(Branch(int(tok)))
     return out
 
@@ -115,15 +112,8 @@ def _emit(lines: Iterable[str]) -> None:
 
 
 def _cmd_generate(args) -> int:
-    cap = _max_terms()
-    if args.count > cap:
-        raise _UsageError(f"count {args.count} exceeds the cap of {cap} "
-                          "(override with FRACTALSEQ_MAX_TERMS)")
-    try:
-        theta = parse_theta(args.theta)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    terms = generate_signature(theta, args.count)
+    _require_within_cap(args.count, "count")
+    terms = generate_signature(parse_theta(args.theta), args.count)
     if args.json:
         _emit(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
               for h, (v, r) in enumerate(terms, start=1))
@@ -155,19 +145,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     branches = _parse_branches(args.branches)
-    if args.enumerate and branches is not None:
-        raise _UsageError("--enumerate and --branches are mutually exclusive")
     if args.n < 2:
-        raise _UsageError(f"need --n >= 2, got {args.n}")
-    cap = _max_terms()
+        raise ValueError(f"need --n >= 2, got {args.n}")
     # Block j holds at least 1 + (n-1)*j terms, so no run that fits is refused.
-    least = args.blocks + (args.n - 1) * args.blocks * (args.blocks + 1) // 2
-    if least > cap:
-        raise _UsageError(f"--n {args.n} and --blocks {args.blocks} make at least {least} "
-                          f"terms, above the cap of {cap} (override with FRACTALSEQ_MAX_TERMS)")
+    _require_within_cap(args.blocks + (args.n - 1) * args.blocks * (args.blocks + 1) // 2,
+                        f"--n {args.n} and --blocks {args.blocks}: least run length")
 
     if args.enumerate:
         rows = enumerate_ramp(args.n, args.blocks)
+        _require_within_cap(sum(len(terms) for _, terms in rows), "--enumerate: total length")
         if args.type2:
             rows = ((log, rank_stream(terms)) for log, terms in rows)
         _emit(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}\n" for log, terms in rows)
@@ -183,7 +169,7 @@ def _cmd_construct(args) -> int:
 def _cmd_invert(args) -> int:
     terms = _read_terms(args.input)
     if not terms:
-        raise _UsageError("cannot invert an empty sequence")
+        raise ValueError("cannot invert an empty sequence")
     interval = theta_interval_from_prefix(terms)
     print(interval)
     if args.expect_nonempty and interval.is_empty:
@@ -192,15 +178,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_diverge(args) -> int:
-    cap = _max_terms()
-    if args.max > cap:
-        raise _UsageError(f"--max {args.max} exceeds the cap of {cap} "
-                          "(override with FRACTALSEQ_MAX_TERMS)")
-    try:
-        t1, t2 = parse_theta(args.theta1), parse_theta(args.theta2)
-        index = first_divergence(t1, t2, args.max)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    _require_within_cap(args.max, "--max")
+    index = first_divergence(parse_theta(args.theta1), parse_theta(args.theta2), args.max)
     print(index if index is not None else "NONE")
     return 0
 
@@ -220,9 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True,
                    help="exact parameter: 7, 13/2, sqrt(13), (1+2*sqrt(5))/3")
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--ranks", action="store_true",
-                   help="print 'value rank' instead of just values")
     fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--ranks", action="store_true",
+                     help="print 'value rank' instead of just values")
     fmt.add_argument("--json", action="store_true",
                      help='JSON lines {"index":h,"value":s,"rank":a}')
     fmt.add_argument("--bfile", action="store_true",
@@ -246,12 +225,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True,
                    help="number of main terms (>= 2)")
     p.add_argument("--blocks", type=_positive_int, default=5)
-    p.add_argument("--branches", default=None,
-                   help="comma-separated fork choices, 0=one-first 1=fresh-first")
+    runs = p.add_mutually_exclusive_group()  # apart, so --help keeps its order
+    runs.add_argument("--branches", default=None,
+                      help="comma-separated fork choices, 0=one-first 1=fresh-first")
     p.add_argument("--type2", action="store_true",
                    help="emit the ones-seeded variant (rank translation)")
-    p.add_argument("--enumerate", action="store_true",
-                   help="emit every branch outcome as 'bits<TAB>terms'")
+    runs.add_argument("--enumerate", action="store_true",
+                      help="emit every branch outcome as 'bits<TAB>terms'")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("invert", help="recover the consistent theta interval")
@@ -279,9 +259,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         globals().setdefault(name, __getattr__(name))  # keeps a traced rebinding
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

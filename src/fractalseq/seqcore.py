@@ -242,8 +242,16 @@ class PrefixChecker:
 
 def parse_terms(text: str) -> list[int]:
     """Parse ASCII decimal integers separated by whitespace or newlines."""
+    tokens = text.split()
+    if not text.isascii() or "_" in text:
+        # int() also reads '1_0' and non-ASCII digits: refuse the first such
+        # token, once the tokens before it have parsed.
+        for k, tok in enumerate(tokens):
+            if not tok.isascii() or "_" in tok:
+                parse_terms(" ".join(tokens[:k]))
+                raise ValueError(f"not an integer: {tok!r}")
     out = []
-    for tok in text.split():
+    for tok in tokens:
         try:
             v = int(tok)
         except ValueError:

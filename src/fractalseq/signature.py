@@ -274,11 +274,11 @@ def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
 # Parsing and formatting
 
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d*\.\d+|\d+\.\d*)")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?", re.ASCII)
+_DECIMAL_RE = re.compile(r"[+-]?(?:\d*\.\d+|\d+\.\d*)", re.ASCII)
 _SURD_INNER = r"(?:(?P<a>[+-]?\d+)\s*(?P<op>[+-])\s*)?(?:(?P<b>\d+)\s*\*\s*)?sqrt\(\s*(?P<d>\d+)\s*\)"
-_SURD_PAREN_RE = re.compile(rf"\(\s*{_SURD_INNER}\s*\)\s*/\s*(?P<c>\d+)")
-_SURD_BARE_RE = re.compile(rf"{_SURD_INNER}(?:\s*/\s*(?P<c>\d+))?")
+_SURD_PAREN_RE = re.compile(rf"\(\s*{_SURD_INNER}\s*\)\s*/\s*(?P<c>\d+)", re.ASCII)
+_SURD_BARE_RE = re.compile(rf"{_SURD_INNER}(?:\s*/\s*(?P<c>\d+))?", re.ASCII)
 
 
 def parse_theta(text: str) -> ExactNumber:

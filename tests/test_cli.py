@@ -301,6 +301,90 @@ def test_diverge_equal_surds_written_two_ways(capsys, monkeypatch):
     assert err == "error: parameters must be distinct\n"
 
 
+# --- error paths -------------------------------------------------------------------
+
+GEN = ["generate", "--count", "3", "--theta"]
+OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
+
+
+@pytest.mark.parametrize("argv, stdin, env, code, err", [
+    (GEN + ["0.5"], "", None, 2,
+     "decimal theta '0.5' not supported; use p/q or (a+b*sqrt(d))/c"),
+    (GEN + ["1+sqrt(2)/3"], "", None, 2,
+     "ambiguous theta '1+sqrt(2)/3': parenthesize as (a+b*sqrt(d))/c"),
+    (GEN + ["3/0"], "", None, 2, "zero denominator"),
+    (GEN[:-1] + ["--theta=-3/2"], "", None, 2, "theta must be positive: '-3/2'"),
+    (GEN + ["abc"], "", None, 2, "malformed theta expression: 'abc'"),
+    (GEN + ["\u0661\u0663/\u0662"], "", None, 2,
+     "malformed theta expression: '\u0661\u0663/\u0662'"),
+    (["diverge", "3/2", "6/4"], "", None, 2, "parameters must be distinct"),
+    (["diverge", "3/2", "x"], "", None, 2, "malformed theta expression: 'x'"),
+    (["trim", "--lower"], "1 x 3", None, 2, "not an integer: 'x'"),
+    (["trim", "--lower"], "1 2 1_0", None, 2, "not an integer: '1_0'"),
+    (["check"], "1 \u0662 1", None, 2, "not an integer: '\u0662'"),
+    (["check"], "1 x \u0662", None, 2, "not an integer: 'x'"),
+    (["check"], "1 0 \u0662", None, 2, "terms must be >= 1, got 0"),
+    (["trim", "--lower", "/no/such/file"], "", None, 2,
+     "cannot read input: [Errno 2] No such file or directory: '/no/such/file'"),
+    (["check", "{nonascii}"], "", None, 2,
+     "'ascii' codec can't decode byte 0xd9 in position 2: ordinal not in range(128)"),
+    (["invert"], "\n", None, 2, "cannot invert an empty sequence"),
+    (["construct", "--n", "4", "--branches", "0,2"], "", None, 2,
+     "branch bits must be 0 or 1, got '2'"),
+    (["construct", "--n", "1"], "", None, 2, "need --n >= 2, got 1"),
+    (["construct", "--n", "4", "--branches", "0"], "", None, 1,
+     "branch list exhausted: the construction forked more often than choices were given"),
+    (["generate", "--theta", "2", "--count", "11"], "", "10", 2,
+     "count 11 exceeds the cap of 10" + OVERRIDE),
+    (["diverge", "3/2", "8/5", "--max", "11"], "", "10", 2,
+     "--max 11 exceeds the cap of 10" + OVERRIDE),
+    (["construct", "--n", "3", "--blocks", "7"], "", "20", 2,
+     "--n 3 and --blocks 7: least run length 63 exceeds the cap of 20" + OVERRIDE),
+    (["construct", "--n", "3", "--blocks", "20", "--enumerate"], "", "1000", 2,
+     "--enumerate: total length 63060 exceeds the cap of 1000" + OVERRIDE),
+    (["construct", "--n", "3", "--blocks", "20", "--enumerate", "--type2"], "", "63059", 2,
+     "--enumerate: total length 63060 exceeds the cap of 63059" + OVERRIDE),
+    (GEN + ["2"], "", "abc", 2, "FRACTALSEQ_MAX_TERMS: not an integer: 'abc'"),
+    (GEN + ["2"], "", "1_0", 2, "FRACTALSEQ_MAX_TERMS: not an integer: '1_0'"),
+    (GEN + ["2"], "", "\u0661\u0660", 2,
+     "FRACTALSEQ_MAX_TERMS: not an integer: '\u0661\u0660'"),
+    (GEN + ["2"], "", "0", 2, "FRACTALSEQ_MAX_TERMS: must be >= 1, got 0"),
+])
+def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, env, code, err):
+    nonascii = tmp_path / "nonascii.txt"
+    nonascii.write_bytes("1 \u0662 1\n".encode())
+    argv = [a.format(nonascii=nonascii) for a in argv]
+    if env is not None:
+        monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", env)
+    assert run_cli(capsys, monkeypatch, argv, stdin) == (code, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (GEN + ["2", "--ranks", "--json"], "argument --json: not allowed with argument --ranks"),
+    (GEN + ["2", "--ranks", "--bfile"], "argument --bfile: not allowed with argument --ranks"),
+    (["generate", "--theta", "2", "--count", "1_0"], "argument --count: not an integer: '1_0'"),
+    (["generate", "--theta", "2", "--count", "\u0663"],
+     "argument --count: not an integer: '\u0663'"),
+    (["construct", "--n", "4", "--enumerate", "--branches", "0"],
+     "argument --branches: not allowed with argument --enumerate"),
+    (["construct", "--n", "4", "--branches", "0", "--enumerate"],
+     "argument --enumerate: not allowed with argument --branches"),
+])
+def test_parser_refuses(capsys, monkeypatch, argv, clash):
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: {clash}\n")
+
+
+def test_enumerate_at_exactly_the_cap_prints_every_row(capsys, monkeypatch):
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "63060")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["construct", "--n", "3", "--blocks", "20", "--enumerate"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 120
+    assert sum(len(row.split("\t")[1].split()) for row in rows) == 63060
+
 # --- chunked output ---------------------------------------------------------------
 
 class CountingStdout(io.StringIO):

@@ -270,6 +270,7 @@ def test_incremental_checker_copy_is_independent():
 
 def test_parse_terms_whitespace_and_newlines():
     assert parse_terms("1 2\n3\t4\n") == [1, 2, 3, 4]
+    assert parse_terms("1\u00a02\u20033\u3000") == [1, 2, 3]   # non-ASCII whitespace
 
 
 def test_parse_terms_rejects_junk():
@@ -281,3 +282,16 @@ def test_parse_terms_rejects_junk():
 
 def test_parse_terms_empty():
     assert parse_terms("") == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 1_0", "not an integer: '1_0'"),              # int() reads underscores,
+    ("1 \u0662 1", "not an integer: '\u0662'"),   # Arabic-Indic digits
+    ("1 \uff13", "not an integer: '\uff13'"),     # and fullwidth ones
+    ("1 x \u0662", "not an integer: 'x'"),            # the first bad term is named
+    ("1 0 \u0662", "terms must be >= 1, got 0"),
+])
+def test_parse_terms_reads_only_ascii_decimal(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_terms(text)
+    assert str(exc.value) == message

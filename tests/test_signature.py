@@ -296,6 +296,10 @@ def test_parse_theta_accepts(text, expected):
     "(1-sqrt(2))/1",        # negative value
     "sqrt(4)-2",            # malformed (constant after the root)
     "nonsense",
+    "\u0661\u0663/\u0662",        # Arabic-Indic digits
+    "sqrt(\u0661\u0663)",
+    "(1+2*sqrt(5))/\uff13",      # a fullwidth digit
+    "1\u00a0/\u00a02",           # non-ASCII spaces
 ])
 def test_parse_theta_rejects(text):
     with pytest.raises(ValueError):
