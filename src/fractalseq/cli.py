@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Commands compose over pipes: sequences are read as whitespace-separated
-integers from a file or stdin and written one term per line, so
+Commands compose over pipes: sequences are read, from a file or stdin
+alike, as ASCII whitespace-separated integers and written one per line, so
 ``fractalseq generate ... | fractalseq check`` works as expected.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
@@ -75,13 +75,13 @@ def _positive_int(text: str) -> int:
 def _read_terms(path: Optional[str]) -> list[int]:
     try:
         if path is None or path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from None
-    return parse_terms(text)
+    return parse_terms(data.decode("ascii"))
 
 
 def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:

@@ -5,36 +5,28 @@ leading 1 to the next occurrence of the largest main term n; the main
 terms 1..n form the first block, and the second block rewrites them
 with one fresh value woven after each main term except n.
 
-Every later block is derived from a merge of two "seam" windows that
-both predict the stretch separating the new block's n from its n+1:
+Each term is forced by the two trims, except at a fork.  At the cursors
+of :class:`~fractalseq.seqcore.PrefixChecker`, a repeated next term
+must be u = terms[upper] and a next term above 1 must be
+f = terms[lower] + 1.  So the next term is u when u == f, or when
+u == 1 and f is seen, and f when f is unseen and u != 1; else no term
+can follow.  When u == 1 and f is unseen the sequence forks, and a
+:class:`Branch` picks the term: ONE_FIRST starts the next block with 1,
+FRESH_FIRST places f.  With k ones so far, ONE_FIRST keeps theta below
+(f-1)/k and FRESH_FIRST above it.  Every choice is logged.  A term
+picked this way passes exactly the tests of ``PrefixChecker.advance``,
+so the prefix is doubly fractal by construction.  This is the paper's
+converse: the trims alone determine the sequence, but for the forks.
 
-* the seam seen from below: the values strictly between the last n-1
-  and the last n, each raised by 1 (lower trimming maps the new seam
-  back onto that window);
-* the seam seen from above: the seam merged at the previous step,
-  which the state stores (upper trimming maps the new seam onto it).
-
-The two windows agree except that the one from below carries a single
-fresh-class value and the one from above carries a single 1.  Merging
-them interleaves both specials into the shared common order.  When the
-two specials compete for the same slot the merge genuinely forks, and a
-:class:`Branch` choice is required; every choice is logged so runs are
-reproducible.
-
-The merged seam is cut at its 1: the part before the 1 is appended to
-the sequence, and the signed offset between the 1 and the fresh-class
-value dictates where fresh values are woven into the next block (offset
--d places each fresh value d positions after its main term, positive
-offsets place it before).  So a slot of the new block is fresh exactly
-when the slot d places before it (after it, for a positive offset)
-holds a main term.  A weave position is used only if it falls inside
-the developing block, between its leading 1 and its final n.
-
-Rather than trusting any of this blindly, every completed extension is
-validated and rejected loudly if it fails.  Each run keeps an
-incremental checker (:class:`~fractalseq.seqcore.PrefixChecker`) that
-checks only the terms a step added, so a step costs time linear in its
-block; the full prefix checker runs only to describe a failure.
+The paper explains a step as a merge of two "seam" windows, which both
+predict the stretch from the last closing n up to the next n+1.  The
+seam from below is the values strictly between the last n-1 and the
+last n, each raised by 1; the seam from above is the seam merged at the
+previous step, which the state stores.  They agree but for a single
+fresh-class value below and a single 1 above, and the step forks
+exactly when those two compete for one slot.  The merge stays as that
+explained procedure and as the tests' oracle; of the growing code only
+:func:`extend_next_block` consults it, to check its branch.
 """
 from __future__ import annotations
 
@@ -42,12 +34,15 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
+# check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
+# construction.check_doubly_fractal_prefix.
 from .seqcore import (ConstructionError, PrefixChecker, check_doubly_fractal_prefix,
                       rank_stream)
 
 
 class Branch(Enum):
-    """Order choice when the two seam specials compete for one slot."""
+    """Choice at a fork: start the next block with 1, or place the fresh
+    value (in the merge: the order of the two seam specials)."""
 
     ONE_FIRST = 0
     FRESH_FIRST = 1
@@ -58,13 +53,13 @@ class ConstructionState:
 
     ``block_starts`` holds the 1-based index of each block's leading 1,
     and the last term is always the last block's closing n;
-    ``fresh`` is always 1 + max(terms); ``seam`` is the seam merged at
-    the last step, which is the next step's seam seen from above;
-    ``branch_log`` records the Branch taken at every genuine fork, in
-    order; ``checker`` has validated the terms up to the last step.
-    Between steps ``terms`` only grows: editing terms that were already
-    checked is outside the contract, and the next step would not notice
-    it.
+    ``fresh`` is always 1 + max(terms); ``seam`` is the stretch from
+    the closing n before the last block up to that block's n+1, the
+    next step's seam seen from above.  ``checker`` holds the trim
+    cursors over all of ``terms``: each term is forced by the two trims
+    except at a fork, and ``branch_log`` records the Branch taken at
+    every fork, in order.  Between steps ``terms`` only grows: editing
+    terms is outside the contract, and the next step would not notice.
     """
 
     __slots__ = ("n", "terms", "block_starts", "fresh", "branch_log", "checker", "seam")
@@ -98,8 +93,11 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     n = state.n
     if state.blocks != 1 or state.terms != list(range(1, n + 1)):
         raise ConstructionError("second block can only follow the bare seed")
-    state.seam = (1,)
-    return _append_block(state, (), _weave_forward(state.terms, n, 1), "second block")
+    state.terms.append(1)  # the seed's closing 1; the rest is forced
+    state.block_starts.append(n + 1)
+    state.checker.advance(state.terms)
+    _grow(state, None)
+    return state
 
 
 def seam_below(state: ConstructionState) -> list[int]:
@@ -190,71 +188,72 @@ def merge_seams(below: Sequence[int], above: Sequence[int],
     return SeamMerge(fresh_value, tuple(merged), offset)
 
 
-def _weave_forward(replay: Sequence[int], n: int, gap: int) -> list[Optional[int]]:
-    """Replay a block, dropping a None slot `gap` positions after each main term.
-
-    A slot is fresh exactly when the slot `gap` places before it holds a
-    main term (a value up to n).  Nothing follows the final replayed
-    term (the block's closing n), which is exactly the in-block bound on
-    weave positions.
-    """
-    out: list[Optional[int]] = []
-    for term in replay:
-        while len(out) >= gap and out[-gap] is not None and out[-gap] <= n:
-            out.append(None)
-        out.append(term)
-    return out
-
-
-def _weave(replay: Sequence[int], n: int, offset: int) -> list[Optional[int]]:
-    if offset < 0:
-        return _weave_forward(replay, n, -offset)
-    # Positive offset puts fresh values before their mains; run the same
-    # walk on the reversed block, where "before" becomes "after".  Slots
-    # discarded at the reversed end are those falling before the leading 1.
-    return _weave_forward(replay[::-1], n, offset)[::-1]
-
-
 def extend_next_block(state: ConstructionState,
                       branch: Optional[Branch] = None) -> ConstructionState:
-    """Run one full extension step: merge seams, append the carry, weave
-    the next block, validate the result."""
-    plan = merge_seams(seam_below(state), seam_above(state), branch)
-    replay = state.terms[state.block_starts[-1] - 1:]
-    if branch is not None:
-        state.branch_log.append(branch)
-    state.seam = plan.merged
-    return _append_block(state, plan.carry, _weave(replay, state.n, plan.offset),
-                         f"block {state.blocks + 1}")
-
-
-def _append_block(state: ConstructionState, carry: Sequence[int],
-                  woven: Sequence[Optional[int]], step: str) -> ConstructionState:
-    """Append ``carry``, then ``woven`` with None slots made fresh; validate."""
-    state.terms += carry
-    if carry:
-        state.fresh = max(state.fresh, max(carry) + 1)
-    state.block_starts.append(len(state.terms) + 1)
-    for slot in woven:
-        if slot is None:
-            slot = state.fresh
-            state.fresh += 1
-        state.terms.append(slot)
-    _validate(state, step)
+    """Run one full extension step: merge the seams, which decides
+    whether ``branch`` is required, then grow the block."""
+    merge_seams(seam_below(state), seam_above(state), branch)
+    if not _grow(state, branch):
+        raise ConstructionError(f"block {state.blocks + 1} forks though its merge is forced")
     return state
 
 
-def _validate(state: ConstructionState, step: str) -> None:
-    if not state.checker.advance(state.terms):
-        report = check_doubly_fractal_prefix(state.terms)
-        raise ConstructionError(
-            f"{step} broke the doubly-fractal property at index "
-            f"{report.first_violation_index} (upper_ok={report.upper_ok}, "
-            f"lower_ok={report.lower_ok})")
+def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
+    """Append terms through the next closing n, each forced by the two trims.
+
+    At a fork ``branch`` picks the term and is used up.  At a fork with
+    no branch left, a call given none stops before the forked term and
+    returns False; a call given one raises, as does a dead end.  True
+    once the block is closed.
+    """
+    n, terms, checker = state.n, state.terms, state.checker
+    seen, upper, lower, fresh = checker.seen, checker.upper, checker.lower, state.fresh
+    given = branch is not None
+    try:
+        while True:
+            u, f = terms[upper], terms[lower] + 1
+            if u == f:
+                t = u
+            elif f not in seen:
+                if u != 1:
+                    t = f
+                elif branch is not None:
+                    state.branch_log.append(branch)
+                    t, branch = 1 if branch is Branch.ONE_FIRST else f, None
+                elif given:
+                    raise ConstructionError(f"a step forks twice, at term {len(terms) + 1}")
+                else:
+                    return False
+            elif u == 1:
+                t = 1
+            else:
+                raise ConstructionError(f"no term can follow term {len(terms)}: upper "
+                                        f"trimming asks for {u}, lower trimming for {f}")
+            terms.append(t)
+            if t in seen:
+                upper += 1
+            else:
+                seen.add(t)
+                fresh = t + 1  # values first appear in order: seen is 1..fresh-1
+            if t > 1:
+                lower += 1
+            if t == 1:
+                state.block_starts.append(len(terms))
+            elif t == n:
+                return True
+            elif t == n + 1:
+                k = len(terms) - 1
+                while terms[k - 1] != n:
+                    k -= 1
+                state.seam = tuple(terms[k:-1])
+    finally:
+        checker.upper, checker.lower, checker.checked = upper, lower, len(terms)
+        state.fresh = fresh
 
 
 # ---------------------------------------------------------------------------
-# Drivers
+# Drivers: runs grow by the two trims alone, through _grow, without the
+# seam merge; at a fork a run is cloned before the forked term.
 
 
 BranchSpec = Union[None, Branch, Sequence[Branch]]
@@ -279,24 +278,24 @@ def _runs(state: ConstructionState, more: Callable[[ConstructionState], bool],
     """Grow ``state`` block by block while ``more(state)`` holds; yield each run.
 
     A one-block state gets the forced second block.  At a fork each
-    Branch in the next tuple of ``choices`` but the last grows a clone,
-    whose runs are yielded first; the last grows ``state``.  One choice,
-    one run.
+    Branch in the next tuple of ``choices`` but the last grows a clone
+    taken at the forked term, whose runs are yielded first; the last
+    grows ``state``.  One choice, one run.
     """
     while more(state):
         if state.blocks == 1:
             extend_second_block(state)
-        elif needs_branch(state):
+        elif not _grow(state, None):
             picks = next(choices, None)
             if picks is None:
                 raise ConstructionError("branch list exhausted: the construction "
                                         "forked more often than choices were given")
             *others, last = picks
             for choice in others:
-                yield from _runs(extend_next_block(state.clone(), choice), more, choices)
-            extend_next_block(state, last)
-        else:
-            extend_next_block(state, None)
+                twin = state.clone()
+                _grow(twin, choice)
+                yield from _runs(twin, more, choices)
+            _grow(state, last)
     yield state
 
 

@@ -17,8 +17,18 @@ from fractalseq.cli import main
 from fixtures import RAMP4_RANK_STREAM, RAMP4_TERMS, SQRT13_PREFIX
 
 
+def as_bytes(data):
+    """Bytes as they are, or a str in UTF-8."""
+    return data if isinstance(data, bytes) else data.encode()
+
+
+def stdin_bytes(data):
+    """A stdin whose ``buffer`` holds ``data``, as a pipe delivers it."""
+    return io.TextIOWrapper(io.BytesIO(as_bytes(data)))
+
+
 def run_cli(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(stdin))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -321,9 +331,12 @@ OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
     (["diverge", "3/2", "x"], "", None, 2, "malformed theta expression: 'x'"),
     (["trim", "--lower"], "1 x 3", None, 2, "not an integer: 'x'"),
     (["trim", "--lower"], "1 2 1_0", None, 2, "not an integer: '1_0'"),
-    (["check"], "1 \u0662 1", None, 2, "not an integer: '\u0662'"),
-    (["check"], "1 x \u0662", None, 2, "not an integer: 'x'"),
-    (["check"], "1 0 \u0662", None, 2, "terms must be >= 1, got 0"),
+    (["check"], "1 \u0662 1", None, 2,
+     "'ascii' codec can't decode byte 0xd9 in position 2: ordinal not in range(128)"),
+    (["check"], "1\xa02 1 3", None, 2,
+     "'ascii' codec can't decode byte 0xc2 in position 1: ordinal not in range(128)"),
+    (["check"], "1 0 \u0662", None, 2,
+     "'ascii' codec can't decode byte 0xd9 in position 4: ordinal not in range(128)"),
     (["trim", "--lower", "/no/such/file"], "", None, 2,
      "cannot read input: [Errno 2] No such file or directory: '/no/such/file'"),
     (["check", "{nonascii}"], "", None, 2,
@@ -349,6 +362,8 @@ OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
     (GEN + ["2"], "", "\u0661\u0660", 2,
      "FRACTALSEQ_MAX_TERMS: not an integer: '\u0661\u0660'"),
     (GEN + ["2"], "", "0", 2, "FRACTALSEQ_MAX_TERMS: must be >= 1, got 0"),
+    (["check"], b"1 \xff 1", None, 2,
+     "'ascii' codec can't decode byte 0xff in position 2: ordinal not in range(128)"),
 ])
 def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, env, code, err):
     nonascii = tmp_path / "nonascii.txt"
@@ -356,7 +371,12 @@ def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, e
     argv = [a.format(nonascii=nonascii) for a in argv]
     if env is not None:
         monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", env)
-    assert run_cli(capsys, monkeypatch, argv, stdin) == (code, "", f"error: {err}\n")
+    expected = (code, "", f"error: {err}\n")
+    assert run_cli(capsys, monkeypatch, argv, stdin) == expected
+    if stdin:  # the same bytes read from a file fail the same way
+        path = tmp_path / "input.txt"
+        path.write_bytes(as_bytes(stdin))
+        assert run_cli(capsys, monkeypatch, argv + [str(path)]) == expected
 
 
 @pytest.mark.parametrize("argv, clash", [
@@ -399,7 +419,7 @@ class CountingStdout(io.StringIO):
 
 def run_counting_writes(monkeypatch, argv, stdin=""):
     out = CountingStdout()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(stdin))
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
     return out.getvalue(), out.writes

@@ -1,10 +1,11 @@
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fractalseq import construction
-from fractalseq import (Branch, ConstructionError,
+from fractalseq import (Branch, ConstructionError, ConstructionState,
                         check_doubly_fractal_prefix, construct_ones,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
@@ -341,48 +342,11 @@ def test_upper_trim_peels_one_block():
     assert upper_trim(RAMP4_TERMS) == four_blocks[:len(upper_trim(RAMP4_TERMS))]
 
 
-def break_weave(monkeypatch, at_call):
-    """Make the `at_call`-th weave from now on swap its first two slots."""
-    real, calls = construction._weave, []
-
-    def weave(replay, n, offset):
-        out = real(replay, n, offset)
-        calls.append(offset)
-        if len(calls) == at_call:
-            out[0], out[1] = out[1], out[0]
-        return out
-
-    monkeypatch.setattr(construction, "_weave", weave)
-
-
-@pytest.mark.parametrize("n,branches,message", [
-    (4, ONE, "block 8 broke the doubly-fractal property at index 92 "
-             "(upper_ok=True, lower_ok=False)"),
-    (3, FRESH, "block 8 broke the doubly-fractal property at index 64 "
-               "(upper_ok=False, lower_ok=False)"),
-    (5, None, "block 8 broke the doubly-fractal property at index 120 "
-              "(upper_ok=True, lower_ok=False)"),
-])
-def test_broken_block_is_rejected(monkeypatch, n, branches, message):
-    break_weave(monkeypatch, 6)   # the weave of block 8
-    with pytest.raises(ConstructionError) as err:
-        construct_ramp_state(n, 12, branches)
-    assert str(err.value) == message
-
-
-def test_clone_checks_its_own_blocks(monkeypatch):
-    state = ramp4_after(4)
-    extend_next_block(state.clone(), ONE if needs_branch(state) else None)
-    break_weave(monkeypatch, 1)
-    with pytest.raises(ConstructionError, match="block 5 broke"):
-        extend_next_block(state, ONE if needs_branch(state) else None)
-
-
-# --- the one-loop weave and the stored seam against their first forms ---------
+# --- term-by-term growth against the paper's block procedure ----------------
 
 def scheduled_weave_forward(replay, n, gap):
-    """The weave as first written, kept as the oracle of the one-loop
-    rule: schedule the slot `gap` after each main term, and read the
+    """The paper's weave, kept as the oracle of term-by-term growth:
+    schedule a fresh slot `gap` after each main term, and read the
     replay with a separate pointer."""
     out = []
     sched = set()
@@ -423,30 +387,6 @@ def scanned_seams(state):
     return below, state.terms[a + 1:b]
 
 
-@given(st.lists(st.integers(1, 12), max_size=30), st.integers(2, 6), st.data())
-def test_one_loop_weave_matches_scheduled_oracle(replay, n, data):
-    gap = data.draw(st.integers(1, len(replay) + 1))
-    assert construction._weave_forward(replay, n, gap) == scheduled_weave_forward(replay, n, gap)
-
-
-def test_one_loop_weave_matches_scheduled_oracle_on_real_steps():
-    rng = random.Random(2024)
-    signs = set()
-    for n in (2, 3, 4, 5, 7, 9):
-        state = construct_ramp_state(n, 2)
-        for _ in range(60):
-            branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
-            offset = merge_seams(seam_below(state), seam_above(state), branch).offset
-            replay = state.terms[state.block_starts[-1] - 1:]
-            if offset > 0:
-                replay = replay[::-1]
-            assert (construction._weave_forward(replay, n, abs(offset))
-                    == scheduled_weave_forward(replay, n, abs(offset))), (n, state.blocks)
-            signs.add(offset > 0)
-            extend_next_block(state, branch)
-    assert signs == {False, True}
-
-
 def test_stored_seams_match_scans_on_both_sides_of_every_fork():
     rng = random.Random(77)
     forks = 0
@@ -463,6 +403,98 @@ def test_stored_seams_match_scans_on_both_sides_of_every_fork():
                 forks += 1
             extend_next_block(state, branch)
     assert forks > 50
+
+
+def with_fresh_values(woven, fresh):
+    """Fill the None slots of a weave with fresh, fresh+1, ... in order."""
+    values = count(fresh)
+    return [next(values) if slot is None else slot for slot in woven]
+
+
+def assert_step_matches_procedure(state, branch):
+    """Grow one block as the drivers do, stopping first at its fork, and
+    compare it with the carry plus the weave of the previous block."""
+    plan = merge_seams(seam_below(state), seam_above(state), branch)
+    replay = state.terms[state.block_starts[-1] - 1:]
+    if plan.offset > 0:
+        woven = scheduled_weave_forward(replay[::-1], state.n, plan.offset)[::-1]
+    else:
+        woven = scheduled_weave_forward(replay, state.n, -plan.offset)
+    expected = list(plan.carry) + with_fresh_values(woven, max(state.terms + list(plan.carry)) + 1)
+    grown = len(state.terms)
+    if branch is not None:
+        assert not construction._grow(state, None)
+    assert construction._grow(state, branch)
+    assert state.terms[grown:] == expected, (state.n, state.blocks, branch)
+    assert seam_above(state) == list(plan.merged)
+    return plan.offset
+
+
+def test_grown_blocks_match_the_procedure_on_both_sides_of_every_fork():
+    rng = random.Random(2024)
+    forks, signs = 0, set()
+    for n in range(2, 10):
+        state = extend_second_block(init_ramp(n))
+        assert state.terms[n:] == with_fresh_values(
+            scheduled_weave_forward(list(range(1, n + 1)), n, 1), n + 1)
+        while state.blocks < 120:
+            branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
+            if branch is not None:
+                assert_step_matches_procedure(state.clone(), FRESH if branch is ONE else ONE)
+                forks += 1
+            signs.add(assert_step_matches_procedure(state, branch) > 0)
+        assert check_doubly_fractal_prefix(state.terms).ok
+    assert forks > 50 and signs == {False, True}
+
+
+def test_dead_end_is_refused():
+    # Cursors set by hand: upper trimming asks for 2 and lower trimming
+    # for 3, which is taken, so no term can follow.
+    state = ConstructionState(3, [1, 2, 3], [1], 4)
+    state.checker.advance(state.terms)
+    state.checker.upper = state.checker.lower = 1
+    with pytest.raises(ConstructionError, match="no term can follow term 3: "
+                                                "upper trimming asks for 2, lower trimming for 3"):
+        construction._grow(state, None)
+
+
+def test_step_given_a_branch_refuses_a_second_fork():
+    # From [1], fresh values each follow a fork until the block closes at n.
+    state = ConstructionState(4, [1], [1], 2)
+    state.checker.advance(state.terms)
+    with pytest.raises(ConstructionError, match="a step forks twice, at term 3"):
+        construction._grow(state, FRESH)
+
+
+def test_forced_step_refuses_a_fork(monkeypatch):
+    state = construct_ramp_state(4, 2)
+    assert needs_branch(state)
+    monkeypatch.setattr(construction, "merge_seams", lambda below, above, branch: None)
+    with pytest.raises(ConstructionError, match="block 3 forks though its merge is forced"):
+        extend_next_block(state)
+
+
+def test_growing_a_clone_leaves_the_original_unchanged():
+    def snapshot(s):
+        c = s.checker
+        return (list(s.terms), list(s.block_starts), s.fresh, s.seam, list(s.branch_log),
+                set(c.seen), c.upper, c.lower, c.checked, c.ok)
+
+    state = construct_ramp_state(5, 6, FRESH)
+    while construction._grow(state, None):
+        pass
+    before = snapshot(state)
+    grown = {}
+    for branch in (ONE, FRESH):
+        twin = state.clone()
+        construction._grow(twin, branch)
+        construction._grow(twin, None)
+        assert snapshot(state) == before
+        grown[branch] = snapshot(twin)
+    assert grown[ONE] != grown[FRESH]
+    construction._grow(state, FRESH)
+    construction._grow(state, None)
+    assert snapshot(state) == grown[FRESH]
 
 
 # --- branch enumeration ---------------------------------------------------------

@@ -8,6 +8,7 @@ from fractalseq import (EMPTY_INTERVAL, SegmentKind, Surd, ThetaInterval,
                         annotate_ranks, first_divergence, generate_signature,
                         parse_theta, seed_interval, theta_interval_from_prefix)
 from fractalseq.inverse import _interval
+from fractalseq.seqcore import PrefixChecker
 
 from conftest import make_theta_sample
 from fixtures import DIVERGENCE_7_2_VS_SQRT13, RAMP4_INTERVAL, RAMP4_TERMS
@@ -17,6 +18,10 @@ SQRT13 = Surd.sqrt(13)
 
 def closed(lo, hi):
     return ThetaInterval(Fraction(lo), True, Fraction(hi), True)
+
+
+def is_farey_pair(iv):
+    return iv.lo.denominator * iv.hi.numerator - iv.lo.numerator * iv.hi.denominator == 1
 
 
 # --- interval recovery -------------------------------------------------------
@@ -129,6 +134,9 @@ def fraction_interval_from_prefix(terms):
 def assert_matches_fraction_oracle(prefix):
     got, want = theta_interval_from_prefix(prefix), fraction_interval_from_prefix(prefix)
     assert got == want and str(got) == str(want), prefix
+    # A point can be the tie order's own; any wider bounded result is a Farey pair.
+    if not got.is_empty and not got.is_point and got.hi is not None:
+        assert is_farey_pair(got), (prefix, got)
     return got
 
 
@@ -260,6 +268,53 @@ def test_interior_witness_regenerates(prefix):
     witness = iv.witness()
     regen = [t.value for t in generate_signature(witness, len(prefix))]
     assert regen == prefix
+    assert iv.hi is None or is_farey_pair(iv), (prefix, iv)
+
+
+# --- every doubly fractal prefix up to a length ------------------------------------
+
+def two_candidates(terms, checker):
+    """The next terms the construction's stepper allows: u = terms[upper]
+    when u is 1 or f, and f = terms[lower] + 1 when f is unseen or u."""
+    u, f = terms[checker.upper], terms[checker.lower] + 1
+    allowed = set()
+    if u in (1, f):
+        allowed.add(u)
+    if f == u or f not in checker.seen:
+        allowed.add(f)
+    return sorted(allowed)
+
+
+def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
+    # Level by level, every prefix that the checker accepts, with next
+    # values 1..max+1 tried at each node.
+    checker = PrefixChecker()
+    checker.advance([1])
+    level, sizes = [([1], checker)], [1]
+    while len(level[0][0]) < 60:
+        grown = []
+        for prefix, checker in level:
+            accepted = []
+            for v in range(1, max(prefix) + 2):
+                twin = checker.copy()
+                if twin.advance(prefix + [v]):
+                    accepted.append(v)
+                    grown.append((prefix + [v], twin))
+            assert accepted == two_candidates(prefix, checker), prefix
+        level = grown
+        sizes.append(len(level))
+    assert sizes[:15] == [1, 2, 4, 6, 8, 12, 14, 16, 20, 24, 26, 32, 34, 36, 42]
+    assert sizes[-1] == 262
+    intervals = []
+    for prefix, _ in level:
+        iv = theta_interval_from_prefix(prefix)
+        assert not iv.is_empty
+        assert [t.value for t in generate_signature(iv.witness(), 60)] == prefix
+        intervals.append(iv)
+    intervals.sort(key=lambda iv: iv.lo)
+    assert intervals[0].lo == 0 and intervals[-1].hi is None
+    for left, right in zip(intervals, intervals[1:]):
+        assert left.hi == right.lo and is_farey_pair(left), (left, right)
 
 
 # --- Stern-Brocot cross-check -------------------------------------------------------
