@@ -75,13 +75,13 @@ def _positive_int(text: str) -> int:
 def _read_terms(path: Optional[str]) -> list[int]:
     try:
         if path is None or path == "-":
-            data = sys.stdin.buffer.read()
+            text = sys.stdin.buffer.read().decode("ascii")
         else:
             with open(path, "rb") as fh:
-                data = fh.read()
-    except OSError as exc:
+                text = fh.read().decode("ascii")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read input: {exc}") from None
-    return parse_terms(data.decode("ascii"))
+    return parse_terms(text)  # the bytes are freed before parsing starts
 
 
 def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:

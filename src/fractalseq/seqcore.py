@@ -13,6 +13,7 @@ the self-similarity property.
 """
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -240,19 +241,43 @@ class PrefixChecker:
         return twin
 
 
+_SLICE_CHARS = 1 << 16  # tokens of one slice take about 0.7 MB; smaller slices parse no faster
+# Exactly the characters str.isspace() is true of, which split() cuts at;
+# a search runs in C, so a huge token costs no loop in Python.
+_SPACE = re.compile(r"\s")
+
+
 def parse_terms(text: str) -> list[int]:
-    """Parse ASCII decimal integers separated by whitespace or newlines."""
-    tokens = text.split()
-    if not text.isascii() or "_" in text:
-        # int() also reads '1_0' and non-ASCII digits: refuse the first such
-        # token, once the tokens before it have parsed.
-        for k, tok in enumerate(tokens):
-            if not tok.isascii() or "_" in tok:
-                parse_terms(" ".join(tokens[:k]))
-                raise ValueError(f"not an integer: {tok!r}")
-    out = []
-    for tok in tokens:
+    """Parse ASCII decimal integers separated by whitespace or newlines.
+
+    The text is parsed in slices of about ``_SLICE_CHARS`` characters, each
+    cut at whitespace, so only one slice's tokens are alive at a time.
+    """
+    out: list[int] = []
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, start + _SLICE_CHARS)
+        end = cut.end() if cut else len(text)
+        out += _parse_slice(text[start:end])
+        start = end
+    return out
+
+
+def _parse_slice(part: str) -> list[int]:
+    if part.isascii() and "_" not in part:  # int() also reads '1_0' and non-ASCII digits
         try:
+            values = list(map(int, part.split()))
+        except ValueError:
+            pass
+        else:
+            if min(values, default=1) >= 1:
+                return values
+    # Token by token, so that the error names the first bad token.
+    out = []
+    for tok in part.split():
+        try:
+            if not tok.isascii() or "_" in tok:
+                raise ValueError
             v = int(tok)
         except ValueError:
             raise ValueError(f"not an integer: {tok!r}") from None

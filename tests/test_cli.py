@@ -315,6 +315,8 @@ def test_diverge_equal_surds_written_two_ways(capsys, monkeypatch):
 
 GEN = ["generate", "--count", "3", "--theta"]
 OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
+UNDECODABLE = "cannot read input: 'ascii' codec can't decode byte "
+ASCII_RANGE = ": ordinal not in range(128)"
 
 
 @pytest.mark.parametrize("argv, stdin, env, code, err", [
@@ -332,15 +334,15 @@ OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
     (["trim", "--lower"], "1 x 3", None, 2, "not an integer: 'x'"),
     (["trim", "--lower"], "1 2 1_0", None, 2, "not an integer: '1_0'"),
     (["check"], "1 \u0662 1", None, 2,
-     "'ascii' codec can't decode byte 0xd9 in position 2: ordinal not in range(128)"),
+     UNDECODABLE + "0xd9 in position 2" + ASCII_RANGE),
     (["check"], "1\xa02 1 3", None, 2,
-     "'ascii' codec can't decode byte 0xc2 in position 1: ordinal not in range(128)"),
+     UNDECODABLE + "0xc2 in position 1" + ASCII_RANGE),
     (["check"], "1 0 \u0662", None, 2,
-     "'ascii' codec can't decode byte 0xd9 in position 4: ordinal not in range(128)"),
+     UNDECODABLE + "0xd9 in position 4" + ASCII_RANGE),
     (["trim", "--lower", "/no/such/file"], "", None, 2,
      "cannot read input: [Errno 2] No such file or directory: '/no/such/file'"),
     (["check", "{nonascii}"], "", None, 2,
-     "'ascii' codec can't decode byte 0xd9 in position 2: ordinal not in range(128)"),
+     UNDECODABLE + "0xd9 in position 2" + ASCII_RANGE),
     (["invert"], "\n", None, 2, "cannot invert an empty sequence"),
     (["construct", "--n", "4", "--branches", "0,2"], "", None, 2,
      "branch bits must be 0 or 1, got '2'"),
@@ -363,7 +365,7 @@ OVERRIDE = " (override with FRACTALSEQ_MAX_TERMS)"
      "FRACTALSEQ_MAX_TERMS: not an integer: '\u0661\u0660'"),
     (GEN + ["2"], "", "0", 2, "FRACTALSEQ_MAX_TERMS: must be >= 1, got 0"),
     (["check"], b"1 \xff 1", None, 2,
-     "'ascii' codec can't decode byte 0xff in position 2: ordinal not in range(128)"),
+     UNDECODABLE + "0xff in position 2" + ASCII_RANGE),
 ])
 def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, env, code, err):
     nonascii = tmp_path / "nonascii.txt"

@@ -1,12 +1,15 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fractalseq import (AnnotatedTerm, Branch, SegmentKind, annotate_ranks,
+from fractalseq import (AnnotatedTerm, Branch, SegmentKind, Surd, annotate_ranks,
                         check_doubly_fractal_prefix, classify_initial_segment,
-                        construct_ramp_state, lower_trim, occurrence_index,
-                        parse_terms, rank_stream, upper_trim)
+                        construct_ramp_state, generate_signature, lower_trim,
+                        occurrence_index, parse_terms, rank_stream, upper_trim)
+from fractalseq import seqcore
 from fractalseq.seqcore import PrefixChecker
 
 from fixtures import RAMP4_TERMS, SQRT13_PREFIX
@@ -295,3 +298,64 @@ def test_parse_terms_reads_only_ascii_decimal(text, message):
     with pytest.raises(ValueError) as exc:
         parse_terms(text)
     assert str(exc.value) == message
+
+
+def tokenwise_parse_terms(text):
+    """Oracle: split the whole text at once and parse token by token."""
+    tokens = text.split()
+    if not text.isascii() or "_" in text:
+        # int() also reads '1_0' and non-ASCII digits: refuse the first such
+        # token, once the tokens before it have parsed.
+        for k, tok in enumerate(tokens):
+            if not tok.isascii() or "_" in tok:
+                tokenwise_parse_terms(" ".join(tokens[:k]))
+                raise ValueError(f"not an integer: {tok!r}")
+    out = []
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"not an integer: {tok!r}") from None
+        if v < 1:
+            raise ValueError(f"terms must be >= 1, got {v}")
+        out.append(v)
+    return out
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_slices_are_cut_at_what_split_takes_as_whitespace():
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert seqcore._SPACE.findall(every_char) == [c for c in every_char if c.isspace()]
+
+
+term_tokens = st.one_of(
+    st.integers(min_value=1, max_value=10 ** 12).map(str),
+    st.sampled_from(["0", "-3", "+7", "007", "x", "1_0", "\u0662", "\uff13", "9" * 5000]))
+spaces = st.text(st.sampled_from(" \t\n\x0b\x1c\x1d\x1e\x1f\u00a0"), max_size=3)
+
+
+@given(spaces, st.lists(st.tuples(term_tokens, spaces.filter(bool))), spaces, st.integers(1, 8))
+def test_sliced_parse_matches_tokenwise_oracle(lead, pairs, trail, slice_chars):
+    text = lead + "".join(tok + sep for tok, sep in pairs).rstrip() + trail
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqcore, "_SLICE_CHARS", slice_chars)
+        got = parse_outcome(parse_terms, text)
+    assert got == parse_outcome(tokenwise_parse_terms, text)
+
+
+def test_parse_terms_holds_one_slice_of_tokens():
+    text = "".join(f"{v}\n" for v, _ in generate_signature(Surd.sqrt(13), 10 ** 5))
+    tracemalloc.start()
+    try:
+        terms = parse_terms(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 10 ** 5
+    assert peak < 2 * held  # splitting the whole text at once peaks near 3.7x
