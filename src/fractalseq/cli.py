@@ -23,16 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 from .seqcore import (ConstructionError, check_doubly_fractal_prefix, lower_trim,
                       parse_terms, rank_stream, upper_trim)
 
 # What each command takes from construction, inverse and signature;
-# construct_ones is here only for the tracer.
+# generate_signature and construct_ones are here only for the tracer.
 _COMMAND_NAMES = {
-    "generate": ("generate_signature", "parse_theta"),
+    "generate": ("generate_signature", "parse_theta", "signature_runs"),
     "construct": ("Branch", "construct_ones", "construct_ramp_state", "enumerate_ramp"),
     "invert": ("theta_interval_from_prefix",),
     "diverge": ("first_divergence", "parse_theta"),
@@ -113,7 +113,8 @@ def _emit(lines: Iterable[str]) -> None:
 
 def _cmd_generate(args) -> int:
     _require_within_cap(args.count, "count")
-    terms = generate_signature(parse_theta(args.theta), args.count)
+    runs = signature_runs(parse_theta(args.theta))
+    terms = islice(chain.from_iterable(zip(v, r) for v, r in runs), args.count)
     if args.json:
         _emit(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
               for h, (v, r) in enumerate(terms, start=1))

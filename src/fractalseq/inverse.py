@@ -29,12 +29,12 @@ not the bound flag, is the arbiter at endpoints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional
 
 # annotate_ranks is unused here; perfbench/tracer.py looks up inverse.annotate_ranks.
 from .seqcore import SegmentKind, annotate_ranks
-from .signature import as_exact, compare_with_rational, signature_terms
+from .signature import as_exact, compare_with_rational, signature_runs
 
 
 class ThetaInterval(NamedTuple):
@@ -196,8 +196,8 @@ def first_divergence(theta1, theta2, max_terms: int) -> Optional[int]:
         raise ValueError("parameters must be distinct")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    stream = zip(signature_terms(t1), signature_terms(t2))
-    for h, (x, y) in enumerate(islice(stream, max_terms), start=1):
-        if x.value != y.value:
+    v1, v2 = (chain.from_iterable(v for v, _ in signature_runs(t)) for t in (t1, t2))
+    for h, (x, y) in enumerate(islice(zip(v1, v2), max_terms), start=1):
+        if x != y:
             return h
     return None

@@ -14,6 +14,13 @@ the sequence the first differing term lies.
 Ties happen exactly when theta is rational.  Equal values are emitted
 with the larger i-component first; the listings this module is tested
 against fix that order.
+
+The generator, :func:`signature_runs`, yields the sequence in runs: a
+list of values and a list of ranks each, with no object per term.  Row
+k of the block view holds the m in (floor(k*theta), floor((k+1)*theta)],
+so every row holds floor(theta) or floor(theta)+1 of them, and every
+block splits into the same floor(theta)+2 runs, each one pass over the
+rows.  :func:`signature_terms` and the CLI read the terms off the runs.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ import re
 from bisect import insort
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterator, Union
 
 from .seqcore import AnnotatedTerm
@@ -193,8 +200,8 @@ def _floor_times(x: int, theta: ExactNumber) -> int:
     return (x * theta.a + (r if theta.b > 0 else -r - 1)) // theta.c
 
 
-def signature_terms(theta) -> Iterator[AnnotatedTerm]:
-    """Yield (value, rank) pairs of the signature of theta, lazily.
+def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the signature of theta as runs: (values, ranks) list pairs.
 
     Block view: block j is the term (1, j) followed by one term
     (m+1, j-k) per pair (m, k) with 0 <= k < j and key m - k*theta in
@@ -204,32 +211,46 @@ def signature_terms(theta) -> Iterator[AnnotatedTerm]:
     k = j: the m in (floor(j*theta), floor((j+1)*theta)].  Within a row
     the keys are t - f for t = 1, 2, ... and f the fractional part of
     k*theta, so every t-th pair precedes every (t+1)-th one, and the
-    t-th pairs keep the order of their rows' first keys.  The rows are
-    kept sorted by first key and a block is emitted as one pass over
-    them per t, so the work before any term is bounded by its block
-    number however large theta is.
+    t-th pairs keep the order of their rows' first keys.
+
+    A row holds floor(theta) or floor(theta)+1 pairs, so the rows are
+    kept sorted by first key and block j is floor(theta)+2 runs: run 0
+    is ([1], [j]); run t = 1..floor(theta) holds the value m + t for
+    every row, m its first pair; the last run holds m + floor(theta) + 1
+    for the long rows only, and is empty when none is long.  A run of
+    block j holds at most j terms, so the work before any term is
+    bounded by its block number however large theta is.  The full runs
+    of a block share one ranks list, so a caller must not modify a run.
     """
     theta = as_exact(theta)
     _require_positive(theta)
     by_key = cmp_to_key(lambda u, v: (compare_affine(u[0], -u[1], v[0], -v[1], theta)
                                       or v[0] - u[0]))
-    width = _floor_times(1, theta) + 1  # no row holds more pairs
+    short = _floor_times(1, theta)  # pairs in a short row
 
-    def blocks() -> Iterator[AnnotatedTerm]:
-        rows: list[tuple[int, int, int]] = []  # (first m, k, last m), by first key
+    def blocks() -> Iterator[tuple[list[int], list[int]]]:
+        rows: list[tuple[int, int, bool]] = []  # (first m, k, long), by first key
         lo = 0
         for j in count(1):
             hi = _floor_times(j, theta)
             if hi > lo:
-                insort(rows, (lo + 1, j - 1, hi), key=by_key)
+                insort(rows, (lo + 1, j - 1, hi - lo > short), key=by_key)
             lo = hi
-            yield AnnotatedTerm(1, j)
-            for t in range(width):
-                for m, k, last in rows:
-                    if m + t <= last:
-                        yield AnnotatedTerm(m + t + 1, j - k)
+            yield [1], [j]
+            firsts = [m for m, _, _ in rows]
+            ranks = [j - k for _, k, _ in rows]
+            for t in range(1, short + 1):
+                yield [m + t for m in firsts], ranks
+            yield ([m + short + 1 for m, _, long in rows if long],
+                   [j - k for _, k, long in rows if long])
 
     return blocks()
+
+
+def signature_terms(theta) -> Iterator[AnnotatedTerm]:
+    """Yield (value, rank) pairs of the signature of theta, lazily:
+    the runs of :func:`signature_runs`, term by term."""
+    return chain.from_iterable(map(AnnotatedTerm, v, r) for v, r in signature_runs(theta))
 
 
 def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:

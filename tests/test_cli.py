@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 from pathlib import Path
 
 import pytest
 
 from fractalseq import (construct_ramp_state, enumerate_ramp, generate_signature,
-                        lower_trim, parse_theta, rank_stream, upper_trim)
+                        lower_trim, parse_theta, rank_stream, signature_runs, upper_trim)
 from fractalseq import cli
 from fractalseq.cli import main
 
@@ -100,6 +101,62 @@ def test_generate_deterministic_bytes(capsys, monkeypatch):
     _, out1, _ = run_cli(capsys, monkeypatch, args)
     _, out2, _ = run_cli(capsys, monkeypatch, args)
     assert out1 == out2
+
+
+# Each output format, rendered line by line from a list of (value, rank).
+RENDER = {
+    "plain": lambda terms: [f"{v}\n" for v, _ in terms],
+    "--ranks": lambda terms: [f"{v} {r}\n" for v, r in terms],
+    "--json": lambda terms: [f'{{"index":{h},"value":{v},"rank":{r}}}\n'
+                             for h, (v, r) in enumerate(terms, start=1)],
+    "--bfile": lambda terms: [f"{h} {v}\n" for h, (v, _) in enumerate(terms, start=1)],
+}
+
+ORACLE_THETAS = ["sqrt(13)", "1/7", "7/2", "3", "1", "22/7", "13/2", "1000000", "1/50",
+                 "sqrt(2)", "2*sqrt(3)", "sqrt(13)/2", "(1+2*sqrt(5))/3", "(5-sqrt(2))/3"]
+
+
+def counts_inside_runs(theta, limit):
+    """Counts up to ``limit`` that stop in the middle of a run."""
+    counts, done = [], 0
+    for values, _ in signature_runs(theta):
+        if done + len(values) > limit:
+            return counts
+        if len(values) > 1:
+            counts.append(done + len(values) // 2)
+        done += len(values)
+
+
+@pytest.mark.parametrize("text", ORACLE_THETAS)
+def test_generate_matches_the_list_oracle(capsys, monkeypatch, text):
+    theta = parse_theta(text)
+    terms = generate_signature(theta, 3001)
+    inside = counts_inside_runs(theta, 3001)
+    counts = [1, 2, 3, 17, 500, 3001] + inside[:1] + inside[len(inside) // 2:][:1] + inside[-1:]
+    for fmt, render in RENDER.items():
+        for n in counts:
+            argv = ["generate", "--theta", text, "--count", str(n)]
+            code, out, err = run_cli(capsys, monkeypatch, argv + [fmt] * (fmt != "plain"))
+            assert (code, err) == (0, "") and out == "".join(render(terms[:n])), (fmt, n)
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_generate_memory_does_not_grow_with_count(monkeypatch):
+    argv = ["generate", "--theta", "sqrt(13)", "--count", "400000"]
+    monkeypatch.setattr(sys, "stdout", Discard())
+    assert main(argv) == 0  # loads the modules before anything is traced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A list of the 400,000 terms alone would take about 40 MB.
+    assert peak < 2 ** 20
 
 
 # --- trim / check ------------------------------------------------------------
@@ -434,14 +491,8 @@ def assert_chunked(out, writes, lines):
 
 
 SQRT13_10K = generate_signature(parse_theta("sqrt(13)"), 10_000)
-PLAIN_10K = [f"{v}\n" for v, _ in SQRT13_10K]
-GENERATE_RENDERINGS = {
-    "plain": PLAIN_10K,
-    "--ranks": [f"{v} {r}\n" for v, r in SQRT13_10K],
-    "--json": [f'{{"index":{h},"value":{v},"rank":{r}}}\n'
-               for h, (v, r) in enumerate(SQRT13_10K, start=1)],
-    "--bfile": [f"{h} {v}\n" for h, (v, _) in enumerate(SQRT13_10K, start=1)],
-}
+GENERATE_RENDERINGS = {fmt: render(SQRT13_10K) for fmt, render in RENDER.items()}
+PLAIN_10K = GENERATE_RENDERINGS["plain"]
 
 
 @pytest.mark.parametrize("fmt", sorted(GENERATE_RENDERINGS))
@@ -529,7 +580,7 @@ def test_tracer_reads_every_cli_name_before_main():
 
 @pytest.mark.parametrize("name, argv, stdin", [
     ("parse_theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
-    ("generate_signature", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
+    ("signature_runs", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
     ("construct_ramp_state", ["construct", "--n", "4"], ""),
     ("theta_interval_from_prefix", ["invert"], "1 2 3 4 1 5\n"),
     ("first_divergence", ["diverge", "sqrt(2)", "3/2"], ""),

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "generate_signature", "init_ramp", "lower_trim", "merge_seams",
     "needs_branch", "occurrence_index", "parse_terms", "parse_theta",
     "rank_stream", "seam_above", "seam_below", "seed_interval",
-    "signature_terms", "theta_interval_from_prefix", "upper_trim",
+    "signature_runs", "signature_terms", "theta_interval_from_prefix", "upper_trim",
 ]
 
 

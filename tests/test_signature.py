@@ -1,13 +1,15 @@
 import decimal
 import math
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
-                        generate_signature, parse_theta, signature_terms)
+                        generate_signature, parse_theta, signature_runs,
+                        signature_terms)
 from fractalseq.signature import compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
@@ -265,6 +267,56 @@ def test_generated_prefixes_are_doubly_fractal():
         for n in (10, 100, 1000):
             values = [t.value for t in generate_signature(theta, n)]
             assert check_doubly_fractal_prefix(values).ok, (theta, n)
+
+
+# --- runs --------------------------------------------------------------------
+
+# Rational ties, theta < 1, integers and surds on both sides of 1.
+RUN_SAMPLE = make_theta_sample(6, 6, seed=7) + [
+    Fraction(1), Fraction(3), Fraction(50), Fraction(7, 2), Fraction(1, 7),
+    Fraction(1, 50), Fraction(5, 7), Surd.make(5, -1, 2, 2), Surd.make(0, 1, 2, 3)]
+
+
+def runs_prefix(theta, n):
+    """The first n (value, rank) pairs, read off the runs."""
+    runs = signature_runs(theta)
+    return list(islice(chain.from_iterable(zip(v, r) for v, r in runs), n))
+
+
+def floors(theta, n):
+    """floor(k*theta) for k = 0..n, by counting, independent of the generator."""
+    out, m = [], 0
+    for k in range(n + 1):
+        while compare_affine(m + 1, 0, 0, k, theta) <= 0:
+            m += 1
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("theta", RUN_SAMPLE, ids=str)
+def test_runs_equal_brute_force(theta):
+    assert runs_prefix(theta, 600) == brute_force_signature(theta, 600)
+
+
+@pytest.mark.parametrize("theta", RUN_SAMPLE, ids=str)
+def test_runs_have_the_block_shape(theta):
+    floor = floors(theta, 25)
+    short = floor[1]
+    runs = signature_runs(theta)
+    for j in range(1, 26):
+        block = list(islice(runs, short + 2))
+        assert block[0] == ([1], [j])
+        assert all(len(v) == len(r) <= j for v, r in block)
+        for k in range(j):
+            # Row k shows up, with rank j - k, once per pair it holds.
+            pairs = sum(j - k in r for _, r in block[1:])
+            assert pairs == floor[k + 1] - floor[k]
+            assert pairs in (short, short + 1), (j, k)
+
+
+@pytest.mark.parametrize("theta", [Fraction(10 ** 30), Surd.sqrt(10 ** 40 + 121)], ids=str)
+def test_runs_of_huge_theta_start_at_once(theta):
+    assert runs_prefix(theta, 3) == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_signature_terms_is_lazy():
