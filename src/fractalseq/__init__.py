@@ -18,7 +18,7 @@ _MODULE_OF = {name: module for module, names in {
         annotate_ranks check_doubly_fractal_prefix classify_initial_segment lower_trim
         occurrence_index parse_terms rank_stream upper_trim""",
     "signature": """ExactNumber Surd brute_force_signature compare_affine generate_signature
-        parse_theta signature_runs signature_terms""",
+        parse_theta signature_runs""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

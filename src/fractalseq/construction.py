@@ -8,9 +8,10 @@ with one fresh value woven after each main term except n.
 Each term is forced by the two trims, except at a fork.  At the cursors
 of :class:`~fractalseq.seqcore.PrefixChecker`, a repeated next term
 must be u = terms[upper] and a next term above 1 must be
-f = terms[lower] + 1.  So the next term is u when u == f, or when
-u == 1 and f is seen, and f when f is unseen and u != 1; else no term
-can follow.  When u == 1 and f is unseen the sequence forks, and a
+f = terms[lower] + 1.  The terms so far are exactly 1..fresh-1, so f is
+either seen or the fresh value.  The next term is u when u == f, or
+when u == 1 and f is seen, and f when f is fresh and u != 1; else no
+term can follow.  When u == 1 and f is fresh the sequence forks, and a
 :class:`Branch` picks the term: ONE_FIRST starts the next block with 1,
 FRESH_FIRST places f.  With k ones so far, ONE_FIRST keeps theta below
 (f-1)/k and FRESH_FIRST above it.  Every choice is logged.  A term
@@ -22,7 +23,8 @@ The paper explains a step as a merge of two "seam" windows, which both
 predict the stretch from the last closing n up to the next n+1.  The
 seam from below is the values strictly between the last n-1 and the
 last n, each raised by 1; the seam from above is the seam merged at the
-previous step, which the state stores.  They agree but for a single
+previous step, the stretch from the closing n before the last block up
+to that block's n+1.  They agree but for a single
 fresh-class value below and a single 1 above, and the step forks
 exactly when those two compete for one slot.  The merge stays as that
 explained procedure and as the tests' oracle; of the growing code only
@@ -52,40 +54,46 @@ class ConstructionState:
     """Mutable state of one construction run.
 
     ``block_starts`` holds the 1-based index of each block's leading 1,
-    and the last term is always the last block's closing n;
-    ``fresh`` is always 1 + max(terms); ``seam`` is the stretch from
-    the closing n before the last block up to that block's n+1, the
-    next step's seam seen from above.  ``checker`` holds the trim
-    cursors over all of ``terms``: each term is forced by the two trims
-    except at a fork, and ``branch_log`` records the Branch taken at
-    every fork, in order.  Between steps ``terms`` only grows: editing
-    terms is outside the contract, and the next step would not notice.
+    and the last term is always the last block's closing n.  The
+    ``checker`` holds what growth needs of ``terms``: the two trim
+    cursors and the next fresh value.  A doubly fractal prefix holds
+    exactly the values 1..max, so ``fresh`` is 1 + max(terms).  The
+    constructor advances ``checker`` over ``terms`` and refuses a prefix
+    that fails.  Each term is forced by the two trims except at a fork,
+    and ``branch_log`` records the Branch taken at every fork, in order.
+    Between steps ``terms`` only grows: editing terms is outside the
+    contract, and the next step would not notice.
     """
 
-    __slots__ = ("n", "terms", "block_starts", "fresh", "branch_log", "checker", "seam")
+    __slots__ = ("n", "terms", "block_starts", "branch_log", "checker")
 
-    def __init__(self, n: int, terms: list[int], block_starts: list[int], fresh: int,
+    def __init__(self, n: int, terms: list[int], block_starts: list[int], *,
                  branch_log: Optional[list[Branch]] = None,
-                 checker: Optional[PrefixChecker] = None, seam: tuple[int, ...] = ()) -> None:
-        self.n, self.terms, self.block_starts, self.fresh = n, terms, block_starts, fresh
+                 checker: Optional[PrefixChecker] = None) -> None:
+        self.n, self.terms, self.block_starts = n, terms, block_starts
         self.branch_log = [] if branch_log is None else branch_log
         self.checker = PrefixChecker() if checker is None else checker
-        self.seam = seam
+        if not self.checker.advance(terms):
+            raise ConstructionError("terms are not a doubly fractal prefix")
 
     @property
     def blocks(self) -> int:
         return len(self.block_starts)
 
+    @property
+    def fresh(self) -> int:
+        return self.checker.fresh
+
     def clone(self) -> "ConstructionState":
-        return ConstructionState(self.n, list(self.terms), list(self.block_starts), self.fresh,
-                                 list(self.branch_log), self.checker.copy(), self.seam)
+        return ConstructionState(self.n, list(self.terms), list(self.block_starts),
+                                 branch_log=list(self.branch_log), checker=self.checker.copy())
 
 
 def init_ramp(n: int) -> ConstructionState:
     """Start a construction from the ramp seed (1, 2, ..., n)."""
     if not isinstance(n, int) or n < 2:
         raise ConstructionError(f"need n >= 2, got {n!r}")
-    return ConstructionState(n, list(range(1, n + 1)), [1], n + 1)
+    return ConstructionState(n, list(range(1, n + 1)), [1])
 
 
 def extend_second_block(state: ConstructionState) -> ConstructionState:
@@ -113,9 +121,12 @@ def seam_below(state: ConstructionState) -> list[int]:
 
 def seam_above(state: ConstructionState) -> list[int]:
     """The coming seam as predicted by upper trimming: the seam merged
-    at the previous step, which the state stores."""
+    at the previous step, read off the terms between the closing n of
+    the previous block and the last block's n+1."""
     _require_blocks(state, 2)
-    return list(state.seam)
+    n, terms, starts = state.n, state.terms, state.block_starts
+    a = terms.index(n, starts[-2] - 1)
+    return terms[a + 1:terms.index(n + 1, starts[-1] - 1)]
 
 
 def _require_blocks(state: ConstructionState, k: int) -> None:
@@ -207,14 +218,14 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
     once the block is closed.
     """
     n, terms, checker = state.n, state.terms, state.checker
-    seen, upper, lower, fresh = checker.seen, checker.upper, checker.lower, state.fresh
+    upper, lower, fresh = checker.upper, checker.lower, checker.fresh
     given = branch is not None
     try:
         while True:
             u, f = terms[upper], terms[lower] + 1
             if u == f:
                 t = u
-            elif f not in seen:
+            elif f == fresh:  # terms[lower] < fresh, so f <= fresh
                 if u != 1:
                     t = f
                 elif branch is not None:
@@ -230,25 +241,19 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
                 raise ConstructionError(f"no term can follow term {len(terms)}: upper "
                                         f"trimming asks for {u}, lower trimming for {f}")
             terms.append(t)
-            if t in seen:
+            if t < fresh:
                 upper += 1
             else:
-                seen.add(t)
-                fresh = t + 1  # values first appear in order: seen is 1..fresh-1
+                fresh += 1
             if t > 1:
                 lower += 1
             if t == 1:
                 state.block_starts.append(len(terms))
             elif t == n:
                 return True
-            elif t == n + 1:
-                k = len(terms) - 1
-                while terms[k - 1] != n:
-                    k -= 1
-                state.seam = tuple(terms[k:-1])
     finally:
-        checker.upper, checker.lower, checker.checked = upper, lower, len(terms)
-        state.fresh = fresh
+        checker.fresh, checker.upper, checker.lower = fresh, upper, lower
+        checker.checked = len(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,19 @@ class PrefixChecker:
     checks only the terms added since the previous call, so checking a
     list term by term costs linear time in total.  ``upper`` and
     ``lower`` index the next term of the list that the next repeated
-    value, and the next value above 1 lowered by 1, must equal.  The
-    list may only grow between calls.  Once a prefix fails, ``ok``
-    stays False, as every extension of a failing prefix fails too.
+    value, and the next value above 1 lowered by 1, must equal.  Lower
+    trimming puts an earlier v-1 before every first v > 1, so a passing
+    prefix holds exactly the values 1..max, and ``fresh`` = max + 1 is
+    all that is kept of the values seen.  The list may only grow
+    between calls.  Once a prefix fails, ``ok`` stays False, as every
+    extension of a failing prefix fails too.  Terms are integers >= 1;
+    a term below 1 fails.
     """
 
-    __slots__ = ("seen", "upper", "lower", "checked", "ok")
+    __slots__ = ("fresh", "upper", "lower", "checked", "ok")
 
     def __init__(self) -> None:
-        self.seen: set[int] = set()
+        self.fresh = 1
         self.upper = self.lower = self.checked = 0
         self.ok = True
 
@@ -215,28 +219,27 @@ class PrefixChecker:
         """Check ``terms[self.checked:]``; True while the prefix passes."""
         if not self.ok:
             return False
-        seen, upper, lower = self.seen, self.upper, self.lower
+        fresh, upper, lower = self.fresh, self.upper, self.lower
         for k in range(self.checked, len(terms)):
             t = terms[k]
-            if t in seen:
-                if t != terms[upper]:
+            if t < fresh:
+                if t != terms[upper] or t < 1:
                     self.ok = False
                     return False
                 upper += 1
             else:
-                seen.add(t)
+                fresh += 1  # a t above the old fresh fails the lower test
             if t > 1:
                 if t - 1 != terms[lower]:
                     self.ok = False
                     return False
                 lower += 1
-        self.upper, self.lower, self.checked = upper, lower, len(terms)
+        self.fresh, self.upper, self.lower, self.checked = fresh, upper, lower, len(terms)
         return True
 
     def copy(self) -> "PrefixChecker":
         twin = PrefixChecker()
-        twin.seen = set(self.seen)
-        twin.upper, twin.lower = self.upper, self.lower
+        twin.fresh, twin.upper, twin.lower = self.fresh, self.upper, self.lower
         twin.checked, twin.ok = self.checked, self.ok
         return twin
 

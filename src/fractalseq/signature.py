@@ -20,7 +20,7 @@ list of values and a list of ranks each, with no object per term.  Row
 k of the block view holds the m in (floor(k*theta), floor((k+1)*theta)],
 so every row holds floor(theta) or floor(theta)+1 of them, and every
 block splits into the same floor(theta)+2 runs, each one pass over the
-rows.  :func:`signature_terms` and the CLI read the terms off the runs.
+rows.  :func:`generate_signature` and the CLI read the terms off the runs.
 """
 from __future__ import annotations
 
@@ -247,17 +247,12 @@ def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
     return blocks()
 
 
-def signature_terms(theta) -> Iterator[AnnotatedTerm]:
-    """Yield (value, rank) pairs of the signature of theta, lazily:
-    the runs of :func:`signature_runs`, term by term."""
-    return chain.from_iterable(map(AnnotatedTerm, v, r) for v, r in signature_runs(theta))
-
-
 def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     """First ``n_terms`` annotated terms of the signature of theta."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    return list(islice(signature_terms(theta), n_terms))
+    runs = signature_runs(theta)
+    return list(islice(chain.from_iterable(map(AnnotatedTerm, v, r) for v, r in runs), n_terms))
 
 
 def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
@@ -302,6 +297,13 @@ _SURD_PAREN_RE = re.compile(rf"\(\s*{_SURD_INNER}\s*\)\s*/\s*(?P<c>\d+)", re.ASC
 _SURD_BARE_RE = re.compile(rf"{_SURD_INNER}(?:\s*/\s*(?P<c>\d+))?", re.ASCII)
 
 
+def _denominator(digits: str | None) -> int:
+    c = int(digits) if digits else 1
+    if c == 0:
+        raise ValueError("zero denominator")
+    return c
+
+
 def parse_theta(text: str) -> ExactNumber:
     """Parse a positive exact parameter.
 
@@ -321,10 +323,7 @@ def parse_theta(text: str) -> ExactNumber:
         m = _RATIONAL_RE.fullmatch(s)
         if not m:
             raise ValueError(f"malformed theta expression: {text!r}")
-        q = int(m.group(2)) if m.group(2) else 1
-        if q == 0:
-            raise ValueError("zero denominator")
-        value: ExactNumber = Fraction(int(m.group(1)), q)
+        value: ExactNumber = Fraction(int(m.group(1)), _denominator(m.group(2)))
     else:
         m = _SURD_PAREN_RE.fullmatch(s) or _SURD_BARE_RE.fullmatch(s)
         if not m:
@@ -336,8 +335,7 @@ def parse_theta(text: str) -> ExactNumber:
         b = int(m.group("b")) if m.group("b") else 1
         if m.group("op") == "-":
             b = -b
-        c = int(m.group("c")) if m.group("c") else 1
-        value = Surd.make(a, b, int(m.group("d")), c)
+        value = Surd.make(a, b, int(m.group("d")), _denominator(m.group("c")))
 
     if theta_sign(value) <= 0:
         raise ValueError(f"theta must be positive: {text!r}")

@@ -423,6 +423,9 @@ ASCII_RANGE = ": ordinal not in range(128)"
     (GEN + ["2"], "", "0", 2, "FRACTALSEQ_MAX_TERMS: must be >= 1, got 0"),
     (["check"], b"1 \xff 1", None, 2,
      UNDECODABLE + "0xff in position 2" + ASCII_RANGE),
+    (GEN + ["sqrt(2)/0"], "", None, 2, "zero denominator"),
+    (GEN + ["(1+sqrt(2))/0"], "", None, 2, "zero denominator"),
+    (["diverge", "sqrt(2)/0", "1"], "", None, 2, "zero denominator"),
 ])
 def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, env, code, err):
     nonascii = tmp_path / "nonascii.txt"

@@ -375,7 +375,7 @@ def _last_index(terms, value, before=None):
 
 def scanned_seams(state):
     """The two seams as first found, kept as the oracle of `seam_below`
-    and the stored seam: scan `terms` backwards for the closing mains."""
+    and `seam_above`: scan `terms` backwards for the closing mains."""
     a = _last_index(state.terms, state.n - 1)
     b = _last_index(state.terms, state.n)
     assert a is not None and b is not None and a < b
@@ -387,19 +387,33 @@ def scanned_seams(state):
     return below, state.terms[a + 1:b]
 
 
-def test_stored_seams_match_scans_on_both_sides_of_every_fork():
+def assert_seams_match_scans(state):
+    """The seams, the fork test and the merges agree with the oracles
+    run on the scanned seams; True when the next step forks."""
+    below, above = scanned_seams(state)
+    assert (seam_below(state), seam_above(state)) == (below, above)
+    common, gap_fresh, gap_one, fresh_value = quadratic_merge_positions(below, above)
+    fork = gap_fresh == gap_one
+    assert needs_branch(state) == fork
+    for branch in (ONE, FRESH) if fork else (None,):
+        assert list(merge_seams(below, above, branch).merged) == three_slice_merge(
+            common, gap_fresh, gap_one, fresh_value, branch)
+    return fork
+
+
+def test_seams_match_scans_on_both_sides_of_every_fork():
     rng = random.Random(77)
     forks = 0
     for n in range(2, 10):
         state = construct_ramp_state(n, 2)
         while True:
-            assert (seam_below(state), seam_above(state)) == scanned_seams(state)
+            fork = assert_seams_match_scans(state)
             if state.blocks == 120:
                 break
-            branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
+            branch = rng.choice([ONE, FRESH]) if fork else None
             if branch is not None:
                 other = extend_next_block(state.clone(), FRESH if branch is ONE else ONE)
-                assert (seam_below(other), seam_above(other)) == scanned_seams(other)
+                assert_seams_match_scans(other)
                 forks += 1
             extend_next_block(state, branch)
     assert forks > 50
@@ -450,8 +464,7 @@ def test_grown_blocks_match_the_procedure_on_both_sides_of_every_fork():
 def test_dead_end_is_refused():
     # Cursors set by hand: upper trimming asks for 2 and lower trimming
     # for 3, which is taken, so no term can follow.
-    state = ConstructionState(3, [1, 2, 3], [1], 4)
-    state.checker.advance(state.terms)
+    state = ConstructionState(3, [1, 2, 3], [1])
     state.checker.upper = state.checker.lower = 1
     with pytest.raises(ConstructionError, match="no term can follow term 3: "
                                                 "upper trimming asks for 2, lower trimming for 3"):
@@ -460,10 +473,25 @@ def test_dead_end_is_refused():
 
 def test_step_given_a_branch_refuses_a_second_fork():
     # From [1], fresh values each follow a fork until the block closes at n.
-    state = ConstructionState(4, [1], [1], 2)
-    state.checker.advance(state.terms)
+    state = ConstructionState(4, [1], [1])
     with pytest.raises(ConstructionError, match="a step forks twice, at term 3"):
         construction._grow(state, FRESH)
+
+
+def test_state_refuses_a_failing_prefix():
+    with pytest.raises(ConstructionError, match="terms are not a doubly fractal prefix"):
+        ConstructionState(3, [1, 2, 1, 3, 3], [1, 3])
+    with pytest.raises(ConstructionError):
+        ConstructionState(3, [1, 3], [1])  # a gap: 3 before any 2
+
+
+def test_state_takes_no_fresh_argument():
+    # fresh is derived from the terms; an old positional fresh must not
+    # be bound to branch_log.
+    with pytest.raises(TypeError):
+        ConstructionState(3, [1, 2, 3], [1], 4)
+    with pytest.raises(AttributeError):
+        init_ramp(3).fresh = 5
 
 
 def test_forced_step_refuses_a_fork(monkeypatch):
@@ -477,8 +505,8 @@ def test_forced_step_refuses_a_fork(monkeypatch):
 def test_growing_a_clone_leaves_the_original_unchanged():
     def snapshot(s):
         c = s.checker
-        return (list(s.terms), list(s.block_starts), s.fresh, s.seam, list(s.branch_log),
-                set(c.seen), c.upper, c.lower, c.checked, c.ok)
+        return (list(s.terms), list(s.block_starts), list(s.branch_log),
+                c.fresh, c.upper, c.lower, c.checked, c.ok)
 
     state = construct_ramp_state(5, 6, FRESH)
     while construction._grow(state, None):

@@ -275,12 +275,12 @@ def test_interior_witness_regenerates(prefix):
 
 def two_candidates(terms, checker):
     """The next terms the construction's stepper allows: u = terms[upper]
-    when u is 1 or f, and f = terms[lower] + 1 when f is unseen or u."""
+    when u is 1 or f, and f = terms[lower] + 1 when f is fresh or u."""
     u, f = terms[checker.upper], terms[checker.lower] + 1
     allowed = set()
     if u in (1, f):
         allowed.add(u)
-    if f == u or f not in checker.seen:
+    if f == u or f == checker.fresh:
         allowed.add(f)
     return sorted(allowed)
 
@@ -291,7 +291,7 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
     checker = PrefixChecker()
     checker.advance([1])
     level, sizes = [([1], checker)], [1]
-    while len(level[0][0]) < 60:
+    while len(level[0][0]) < 150:
         grown = []
         for prefix, checker in level:
             accepted = []
@@ -304,12 +304,12 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
         level = grown
         sizes.append(len(level))
     assert sizes[:15] == [1, 2, 4, 6, 8, 12, 14, 16, 20, 24, 26, 32, 34, 36, 42]
-    assert sizes[-1] == 262
+    assert sizes[59] == 262 and sizes[-1] == 812
     intervals = []
     for prefix, _ in level:
         iv = theta_interval_from_prefix(prefix)
         assert not iv.is_empty
-        assert [t.value for t in generate_signature(iv.witness(), 60)] == prefix
+        assert [t.value for t in generate_signature(iv.witness(), 150)] == prefix
         intervals.append(iv)
     intervals.sort(key=lambda iv: iv.lo)
     assert intervals[0].lo == 0 and intervals[-1].hi is None

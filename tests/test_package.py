@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "generate_signature", "init_ramp", "lower_trim", "merge_seams",
     "needs_branch", "occurrence_index", "parse_terms", "parse_theta",
     "rank_stream", "seam_above", "seam_below", "seed_interval",
-    "signature_runs", "signature_terms", "theta_interval_from_prefix", "upper_trim",
+    "signature_runs", "theta_interval_from_prefix", "upper_trim",
 ]
 
 
@@ -78,8 +78,8 @@ def test_surd_survives_copy_and_pickle():
 
 
 def test_construction_state_defaults_are_fresh():
-    a, b = (ConstructionState(2, [1, 2], [1], 3) for _ in range(2))
+    a, b = (ConstructionState(2, [1, 2], [1]) for _ in range(2))
     assert a.branch_log == [] and a.branch_log is not b.branch_log
-    assert a.checker is not b.checker and a.seam == ()
+    assert a.checker is not b.checker and a.fresh == 3
     with pytest.raises(AttributeError):
         a.extra = 0

@@ -260,6 +260,48 @@ def test_incremental_checker_agrees_on_a_long_run():
     assert not check_doubly_fractal_prefix(broken).ok
 
 
+def assert_passing_prefixes_hold_one_to_max(seq, cuts):
+    """The lemma behind ``PrefixChecker.fresh``: a prefix that the
+    set-based checker accepts holds exactly the values 1..max."""
+    for cut in cuts:
+        prefix = seq[:cut]
+        if check_doubly_fractal_prefix(prefix).ok:
+            assert set(prefix) == set(range(1, max(prefix, default=0) + 1)), prefix
+
+
+@given(st.lists(st.integers(1, 6), max_size=60))
+def test_passing_small_lists_hold_one_to_max(seq):
+    assert_passing_prefixes_hold_one_to_max(seq, range(len(seq) + 1))
+
+
+@given(st.integers(0, len(PASSING_RUN) - 1), st.integers(1, 12),
+       st.integers(0, len(PASSING_RUN)))
+def test_passing_corrupted_runs_hold_one_to_max(at, value, cut):
+    seq = list(PASSING_RUN)
+    seq[at] = value
+    assert_passing_prefixes_hold_one_to_max(seq, (at + 1, cut, len(seq)))
+
+
+@pytest.mark.parametrize("seq", [[0], [1, 0], [2], [1, 3], [1, 2, 1, 4]], ids=str)
+def test_incremental_checker_refuses_zero_and_gaps(seq):
+    # [0] and [1, 0] pass the full checker, whose trims drop the 0; terms
+    # below 1 lie outside the domain, and the incremental checker fails them.
+    checker = PrefixChecker()
+    assert not checker.advance(seq)
+    assert not checker.ok
+
+
+def test_incremental_checker_refuses_a_gap_after_a_passing_prefix():
+    checker = PrefixChecker()
+    prefix = RAMP4_TERMS[:20]
+    assert checker.advance(prefix)
+    assert checker.fresh == max(prefix) + 1
+    gap = prefix + [checker.fresh + 1]
+    assert not check_doubly_fractal_prefix(gap).ok
+    assert not checker.copy().advance(gap)
+    assert checker.advance(RAMP4_TERMS)
+
+
 def test_incremental_checker_copy_is_independent():
     checker = PrefixChecker()
     checker.advance(RAMP4_TERMS[:20])

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
-                        generate_signature, parse_theta, signature_runs,
-                        signature_terms)
+                        generate_signature, parse_theta, signature_runs)
 from fractalseq.signature import compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
@@ -319,11 +318,6 @@ def test_runs_of_huge_theta_start_at_once(theta):
     assert runs_prefix(theta, 3) == [(1, 1), (2, 1), (3, 1)]
 
 
-def test_signature_terms_is_lazy():
-    stream = signature_terms(SQRT13)
-    assert [next(stream).value for _ in range(5)] == [1, 2, 3, 4, 1]
-
-
 # --- parsing -----------------------------------------------------------------
 
 @pytest.mark.parametrize("text,expected", [
@@ -355,6 +349,12 @@ def test_parse_theta_accepts(text, expected):
 ])
 def test_parse_theta_rejects(text):
     with pytest.raises(ValueError):
+        parse_theta(text)
+
+
+@pytest.mark.parametrize("text", ["3/0", "sqrt(2)/0", "(1+sqrt(2))/0", "2*sqrt(3)/00"])
+def test_parse_theta_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="^zero denominator$"):
         parse_theta(text)
 
 
