@@ -3,6 +3,12 @@
 Commands compose over pipes: sequences are read, from a file or stdin
 alike, as ASCII whitespace-separated integers and written one per line, so
 ``fractalseq generate ... | fractalseq check`` works as expected.
+``check``, ``invert`` and ``trim`` read the input as bytes and fold over
+it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
+per slice, so none of them holds a list of every term.  ``trim`` writes
+as it goes only when a scan of the bytes has shown that no slice can
+fail to parse; otherwise it parses everything first, so that an error
+leaves stdout empty.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
 PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
@@ -17,6 +23,8 @@ Only ``seqcore`` loads eagerly, as a command is mostly interpreter
 start-up.  ``main`` binds a command's names from ``_COMMAND_NAMES`` just
 before it runs it and keeps a name already bound: perfbench/tracer.py
 reads them through the module ``__getattr__`` and rebinds them first.
+The tracer's wrappers take lists, so a fold over slices is handed to the
+package's own binding of a name instead.
 """
 from __future__ import annotations
 
@@ -24,13 +32,16 @@ import argparse
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .seqcore import (ConstructionError, check_doubly_fractal_prefix, lower_trim,
-                      parse_terms, rank_stream, upper_trim)
+# check_doubly_fractal_prefix is here only for the tracer.
+from .seqcore import (ASCII_SPACE, ConstructionError, check_doubly_fractal_prefix,
+                      check_doubly_fractal_slices, lower_trim, parse_terms, rank_stream,
+                      term_slices, upper_trim)
 
 # What each command takes from construction, inverse and signature;
-# generate_signature and construct_ones are here only for the tracer.
+# generate_signature, construct_ones and theta_interval_from_prefix are
+# here only for the tracer.
 _COMMAND_NAMES = {
     "generate": ("generate_signature", "parse_theta", "signature_runs"),
     "construct": ("Branch", "construct_ones", "construct_ramp_state", "enumerate_ramp"),
@@ -72,16 +83,38 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _read_terms(path: Optional[str]) -> list[int]:
+def _read_input(path: Optional[str]) -> bytes:
     try:
         if path is None or path == "-":
-            text = sys.stdin.buffer.read().decode("ascii")
+            data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
-                text = fh.read().decode("ascii")
+                data = fh.read()
+        if not data.isascii():
+            data.decode("ascii")  # raises, naming the first non-ASCII byte
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read input: {exc}") from None
-    return parse_terms(text)  # the bytes are freed before parsing starts
+    return data
+
+
+def _parsed_slices(data: bytes) -> Iterator[list[int]]:
+    return (parse_terms(part.decode("ascii")) for part in term_slices(data))
+
+
+# A token of 639 or more digits fills a whole aligned block; int() may refuse
+# any token above 640 digits, the least limit Python allows it.
+_DIGIT_BLOCK = 320
+
+
+def _parses_cleanly(data: bytes) -> bool:
+    """True when every token is a digit 1-9 and fewer than 639 more digits,
+    so that no slice of ``data`` can fail to parse.  Each scan runs in C;
+    the block test makes one call per block."""
+    return (not data.translate(None, b"0123456789" + ASCII_SPACE)
+            and not data.startswith(b"0")
+            and not any(bytes((c, 48)) in data for c in ASCII_SPACE if c in data)
+            and not any(data[k:k + _DIGIT_BLOCK].isdigit()
+                        for k in range(0, len(data) - _DIGIT_BLOCK + 1, _DIGIT_BLOCK)))
 
 
 def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:
@@ -128,15 +161,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_trim(args) -> int:
-    terms = _read_terms(args.input)
-    out = upper_trim(terms) if args.upper else lower_trim(terms)
-    _emit(f"{t}\n" for t in out)
+    data = _read_input(args.input)
+    if _parses_cleanly(data):
+        slices = _parsed_slices(data)
+    else:  # such as '+5' or '007': parse all of it before writing anything
+        slices = [parse_terms(data.decode("ascii"))]
+    seen: set[int] = set()
+    _emit(chain.from_iterable(
+        [f"{t}\n" for t in (upper_trim(terms, seen) if args.upper else lower_trim(terms))]
+        for terms in slices))
     return 0
 
 
 def _cmd_check(args) -> int:
-    terms = _read_terms(args.input)
-    report = check_doubly_fractal_prefix(terms)
+    report = check_doubly_fractal_slices(_parsed_slices(_read_input(args.input)))
     print(f"upper_ok: {'true' if report.upper_ok else 'false'}")
     print(f"lower_ok: {'true' if report.lower_ok else 'false'}")
     if report.first_violation_index is not None:
@@ -168,10 +206,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    terms = _read_terms(args.input)
-    if not terms:
+    terms = chain.from_iterable(_parsed_slices(_read_input(args.input)))
+    first = next(terms, None)
+    if first is None:
         raise ValueError("cannot invert an empty sequence")
-    interval = theta_interval_from_prefix(terms)
+    # The package's binding: the tracer wraps this module's name for lists only.
+    fold = __getattr__("theta_interval_from_prefix")
+    interval = fold(chain((first,), terms))
     print(interval)
     if args.expect_nonempty and interval.is_empty:
         return 1

@@ -124,21 +124,18 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
 
     EMPTY is a normal result: it certifies that no positive parameter
     produces this prefix (up to tie order at rational endpoints, see the
-    module notes).
+    module notes).  ``terms`` may be any iterable; it is read once, to the
+    end, even after EMPTY is certain, and every term must be >= 1.
     """
-    seq = list(terms)
-    if not seq:
-        raise ValueError("prefix must be nonempty")
-    if min(seq) < 1:
-        raise ValueError("terms must be >= 1")
-
+    terms = iter(terms)
     # lo = lo_n/lo_d starts at 0/1, open until first tightened; hi = 1/0
     # is unbounded, and any candidate r/q with q > 0 compares below it.
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
     counts: dict[int, int] = {}
     # A phantom pair (0, 0) before the first term only asks theta >= -s.
     s1 = a1 = 0
-    for s2 in seq:
+    empty = False
+    for s2 in terms:
         a2 = counts[s2] = counts.get(s2, 0) + 1
         ds, da = s1 - s2, a2 - a1
         if da > 0:
@@ -148,8 +145,15 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
             if ds * hi_d > hi_n * da:        # ds/da < hi, with da < 0
                 hi_n, hi_d = -ds, -da
         elif ds > 0:
-            return EMPTY_INTERVAL
+            empty = True
+            break
         s1, a1 = s2, a2
+    if not counts:
+        raise ValueError("prefix must be nonempty")
+    if min(counts) < 1 or min(terms, default=1) < 1:
+        raise ValueError("terms must be >= 1")
+    if empty:
+        return EMPTY_INTERVAL
 
     w = 1                   # the least missing value
     while w in counts:

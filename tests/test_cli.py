@@ -6,13 +6,15 @@ import subprocess
 import sys
 import tracemalloc
 
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
 
-from fractalseq import (construct_ramp_state, enumerate_ramp, generate_signature,
-                        lower_trim, parse_theta, rank_stream, signature_runs, upper_trim)
-from fractalseq import cli
+from fractalseq import (check_doubly_fractal_prefix, construct_ramp_state, enumerate_ramp,
+                        generate_signature, lower_trim, parse_terms, parse_theta, rank_stream,
+                        signature_runs, theta_interval_from_prefix, upper_trim)
+from fractalseq import cli, seqcore
 from fractalseq.cli import main
 
 from fixtures import RAMP4_RANK_STREAM, RAMP4_TERMS, SQRT13_PREFIX
@@ -467,6 +469,110 @@ def test_enumerate_at_exactly_the_cap_prints_every_row(capsys, monkeypatch):
     assert len(rows) == 120
     assert sum(len(row.split("\t")[1].split()) for row in rows) == 63060
 
+# --- folds over slices of the input ---------------------------------------------------
+
+FOLDED = [["trim", "--upper"], ["trim", "--lower"], ["check"], ["invert"]]
+
+
+def list_oracle(argv, text):
+    """What a command printed when it parsed the whole text into one list."""
+    terms = parse_terms(text)
+    if argv[0] == "trim":
+        return "".join(f"{t}\n" for t in (upper_trim if argv[1] == "--upper" else lower_trim)(terms))
+    if argv[0] == "invert":
+        return f"{theta_interval_from_prefix(terms)}\n"
+    report = check_doubly_fractal_prefix(terms)
+    lines = [f"upper_ok: {str(report.upper_ok).lower()}", f"lower_ok: {str(report.lower_ok).lower()}"]
+    if report.first_violation_index is not None:
+        lines.append(f"first_violation_index: {report.first_violation_index}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("argv", FOLDED, ids=" ".join)
+@pytest.mark.parametrize("bad, err", [
+    ("x", "not an integer: 'x'"),
+    ("0", "terms must be >= 1, got 0"),
+    ("-3", "terms must be >= 1, got -3"),
+    ("9" * 5000, "not an integer: '" + "9" * 5000 + "'"),
+], ids=["letter", "zero", "negative", "5000 digits"])
+def test_a_bad_token_in_the_last_slice_writes_nothing(capsys, monkeypatch, argv, bad, err):
+    monkeypatch.setattr(seqcore, "_SLICE_CHARS", 16)
+    text = "".join(PLAIN_10K[:3000]) + bad + "\n1\n"
+    assert run_cli(capsys, monkeypatch, argv, text) == (2, "", f"error: {err}\n")
+
+
+ODD_INPUTS = {
+    "plus": "1 2 +5 1 3",
+    "leading zeros": "1 007 2 1 3\n010",
+    "file separators": "1\x1c2\x1d1\x1e3\x1f2 4\x1c",
+    "plus and zeros": "+1\n2\n1\n03\n2\n",
+}
+
+
+@pytest.mark.parametrize("argv", FOLDED, ids=" ".join)
+@pytest.mark.parametrize("text", ODD_INPUTS.values(), ids=list(ODD_INPUTS))
+def test_odd_but_valid_input_prints_what_the_list_did(capsys, monkeypatch, argv, text):
+    want = list_oracle(argv, text)
+    code, out, err = run_cli(capsys, monkeypatch, argv, text)
+    assert (out, err) == (want, "") and code in (0, 1)
+
+
+def test_odd_input_golden(capsys, monkeypatch):
+    assert run_cli(capsys, monkeypatch, ["trim", "--lower"], "1 007 2 +5\x1c3") == (
+        0, "6\n1\n4\n2\n", "")
+    assert run_cli(capsys, monkeypatch, ["check"], "1\x1c2\x1d1\x1e3") == (
+        0, "upper_ok: true\nlower_ok: true\n", "")
+
+
+@pytest.mark.parametrize("text", ["", "\x1c", " \n\x1f\t"], ids=repr)
+def test_invert_of_only_whitespace_is_empty(capsys, monkeypatch, text):
+    assert run_cli(capsys, monkeypatch, ["invert"], text) == (
+        2, "", "error: cannot invert an empty sequence\n")
+
+
+@pytest.mark.parametrize("data, clean", [
+    (b"", True), (b"1 2\n3\x1c45", True), (b"9" * 300 + b" 1", True),
+    (b"+5", False), (b"007", False), (b"1\x1c007", False), (b"1 0", False), (b"1 x", False),
+    (b"1_0", False), (b"9" * 641, False), (b"1\n" + b"9" * 700 + b"\n", False),
+], ids=lambda v: repr(v)[:20])
+def test_only_input_that_cannot_fail_is_written_as_it_is_parsed(data, clean):
+    assert cli._parses_cleanly(data) is clean
+
+
+@pytest.mark.parametrize("argv", FOLDED, ids=" ".join)
+def test_small_slices_change_no_output(capsys, monkeypatch, argv):
+    text = "".join(PLAIN_10K[:2000])
+    broken = text.replace("\n1\n", "\n2\n", 1)
+    for stdin in (text, broken, "1 1 1 1 2 " * 50):
+        want = run_cli(capsys, monkeypatch, argv, stdin)
+        with monkeypatch.context() as mp:
+            mp.setattr(seqcore, "_SLICE_CHARS", 5)
+            assert run_cli(capsys, monkeypatch, argv, stdin) == want
+        assert want[1] == list_oracle(argv, stdin)
+
+
+@pytest.fixture(scope="module")
+def sqrt13_400k():
+    values = chain.from_iterable(v for v, _ in signature_runs(parse_theta("sqrt(13)")))
+    return "".join(f"{v}\n" for v in islice(values, 400_000)).encode()
+
+
+@pytest.mark.parametrize("argv", [["check"], ["invert"], ["trim", "--lower"]], ids=" ".join)
+def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv):
+    monkeypatch.setattr(sys, "stdout", Discard())
+    monkeypatch.setattr(sys, "stdin", stdin_bytes("1 2 3 4 1 5\n"))
+    main(argv)  # loads the modules before anything is traced
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(sqrt13_400k))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Parsing every term into one list first peaked at 12.5 MB (invert) to
+    # 24 MB (check).
+    assert peak < len(sqrt13_400k) + 2 * 2 ** 20
+
 # --- chunked output ---------------------------------------------------------------
 
 class CountingStdout(io.StringIO):
@@ -585,8 +691,11 @@ def test_tracer_reads_every_cli_name_before_main():
     ("parse_theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
     ("signature_runs", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
     ("construct_ramp_state", ["construct", "--n", "4"], ""),
-    ("theta_interval_from_prefix", ["invert"], "1 2 3 4 1 5\n"),
+    ("parse_terms", ["invert"], "1 2 3 4 1 5\n"),
     ("first_divergence", ["diverge", "sqrt(2)", "3/2"], ""),
+    ("parse_terms", ["check"], "1 2 1 3\n"),
+    ("upper_trim", ["trim", "--upper"], "1 2 1 3\n"),
+    ("lower_trim", ["trim", "--lower"], "1 2 1 3\n"),
 ])
 def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
     real, calls = getattr(cli, name), []

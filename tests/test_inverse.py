@@ -171,6 +171,33 @@ def test_integer_pairs_match_fraction_oracle_on_signatures():
     assert any(iv.lo_closed and iv.lo > 0 for iv in ivs)
 
 
+def assert_iterator_form_agrees(prefix):
+    got = theta_interval_from_prefix(t for t in prefix)
+    assert got == theta_interval_from_prefix(prefix) == fraction_interval_from_prefix(prefix)
+    assert str(got) == str(fraction_interval_from_prefix(prefix)), prefix
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_iterator_form_matches_list_form_and_fraction_oracle(prefix):
+    assert_iterator_form_agrees(prefix)
+
+
+def test_iterator_form_matches_on_signatures():
+    for prefix in signature_prefixes_with_faults():
+        assert_iterator_form_agrees(prefix)
+
+
+def test_iterator_form_reads_to_the_end():
+    rest = iter([1, 3, 1, 2, 5])            # EMPTY is certain at the 3
+    assert theta_interval_from_prefix(rest) is EMPTY_INTERVAL
+    assert next(rest, None) is None
+    with pytest.raises(ValueError, match="^terms must be >= 1$"):
+        theta_interval_from_prefix(iter([1, 3, 1, 0]))
+    with pytest.raises(ValueError, match="^prefix must be nonempty$"):
+        theta_interval_from_prefix(iter([]))
+
+
 # --- membership ---------------------------------------------------------------
 
 def test_contains_surd_by_exact_squaring():

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 
@@ -8,9 +9,10 @@ from hypothesis import given, strategies as st
 from fractalseq import (AnnotatedTerm, Branch, SegmentKind, Surd, annotate_ranks,
                         check_doubly_fractal_prefix, classify_initial_segment,
                         construct_ramp_state, generate_signature, lower_trim,
-                        occurrence_index, parse_terms, rank_stream, upper_trim)
+                        occurrence_index, parse_terms, parse_theta, rank_stream,
+                        upper_trim)
 from fractalseq import seqcore
-from fractalseq.seqcore import PrefixChecker
+from fractalseq.seqcore import PrefixChecker, check_doubly_fractal_slices
 
 from fixtures import RAMP4_TERMS, SQRT13_PREFIX
 
@@ -206,6 +208,60 @@ def test_check_prefixes_of_good_sequence_all_pass():
         assert check_doubly_fractal_prefix(RAMP4_TERMS[:cut]).ok
 
 
+@pytest.mark.parametrize("slices", [[[0]], [[1, 0]], [[1], [0]], [[1, 3, 3], [5], [0]],
+                                    [[1, 2], [], [-4, 1]]], ids=str)
+def test_checkers_refuse_terms_below_one(slices):
+    # [1, 3, 3] fails both trims before its 0 is read.
+    seq = [t for part in slices for t in part]
+    with pytest.raises(ValueError, match="^terms must be >= 1$"):
+        check_doubly_fractal_prefix(seq)
+    with pytest.raises(ValueError, match="^terms must be >= 1$"):
+        check_doubly_fractal_slices(slices)
+
+
+# --- one-pass checker over slices ----------------------------------------------
+
+def cut_at(seq, sizes):
+    """``seq`` cut into consecutive slices of the given sizes, then the rest."""
+    out, at = [], 0
+    for size in sizes:
+        out.append(seq[at:at + size])
+        at += size
+    return out + [seq[at:]]
+
+
+@given(st.lists(st.integers(1, 6) | st.integers(min_value=1), max_size=60),
+       st.lists(st.integers(0, 8), max_size=30))
+def test_sliced_check_matches_full_checker_on_small_lists(seq, sizes):
+    assert check_doubly_fractal_slices(cut_at(seq, sizes)) == check_doubly_fractal_prefix(seq)
+
+
+SIGNATURES = [[t.value for t in generate_signature(parse_theta(text), 3000)]
+              for text in ("sqrt(13)", "22/7", "1/3", "(1+sqrt(5))/2", "2/5")]
+
+
+@given(st.sampled_from(SIGNATURES), st.integers(1, 3000), st.sampled_from(["", "swap", "bump"]),
+       st.integers(0, 2999), st.lists(st.integers(0, 500), max_size=12))
+def test_sliced_check_matches_full_checker_on_signatures(values, n, fault, at, sizes):
+    seq, k = values[:n], at % n
+    if fault == "swap" and k + 1 < n:
+        seq[k], seq[k + 1] = seq[k + 1], seq[k]
+    elif fault == "bump":
+        seq[k] += -1 if seq[k] > 1 and at % 2 else 1
+    report = check_doubly_fractal_slices(cut_at(seq, sizes))
+    assert report == check_doubly_fractal_prefix(seq)
+    assert report.ok or fault
+
+
+def test_sliced_check_finds_the_first_violation_of_a_long_run():
+    seq = SIGNATURES[0][:2000]
+    seq[1500] += 1
+    want = check_doubly_fractal_prefix(seq)
+    assert not want.ok and want.first_violation_index < 1500
+    assert check_doubly_fractal_slices(cut_at(seq, [7] * 300)) == want
+    assert check_doubly_fractal_slices([seq]) == want
+
+
 # --- incremental checker ---------------------------------------------------
 
 def assert_agrees_at_every_cut(seq, cuts):
@@ -284,8 +340,8 @@ def test_passing_corrupted_runs_hold_one_to_max(at, value, cut):
 
 @pytest.mark.parametrize("seq", [[0], [1, 0], [2], [1, 3], [1, 2, 1, 4]], ids=str)
 def test_incremental_checker_refuses_zero_and_gaps(seq):
-    # [0] and [1, 0] pass the full checker, whose trims drop the 0; terms
-    # below 1 lie outside the domain, and the incremental checker fails them.
+    # Terms below 1 lie outside the domain: the full checker raises on
+    # them, and the incremental checker fails them.
     checker = PrefixChecker()
     assert not checker.advance(seq)
     assert not checker.ok
@@ -376,6 +432,19 @@ def test_slices_are_cut_at_what_split_takes_as_whitespace():
     assert seqcore._SPACE.findall(every_char) == [c for c in every_char if c.isspace()]
 
 
+def test_byte_slices_are_cut_at_what_split_takes_as_whitespace():
+    every_byte = bytes(range(128))
+    spaces = bytes(c for c in every_byte if chr(c).isspace())
+    assert seqcore.ASCII_SPACE == spaces
+    assert re.findall(seqcore._SPACE_BYTES, every_byte) == [bytes((c,)) for c in spaces]
+
+
+def test_upper_trim_goes_on_from_the_values_seen():
+    seq, seen = SQRT13_PREFIX * 2, set()
+    trimmed = [t for part in cut_at(seq, [5, 0, 9, 1]) for t in upper_trim(part, seen)]
+    assert trimmed == upper_trim(seq) and seen == set(seq)
+
+
 term_tokens = st.one_of(
     st.integers(min_value=1, max_value=10 ** 12).map(str),
     st.sampled_from(["0", "-3", "+7", "007", "x", "1_0", "\u0662", "\uff13", "9" * 5000]))
@@ -388,6 +457,20 @@ def test_sliced_parse_matches_tokenwise_oracle(lead, pairs, trail, slice_chars):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqcore, "_SLICE_CHARS", slice_chars)
         got = parse_outcome(parse_terms, text)
+    assert got == parse_outcome(tokenwise_parse_terms, text)
+
+
+@given(spaces, st.lists(st.tuples(term_tokens, spaces.filter(bool))), spaces, st.integers(1, 8))
+def test_byte_slices_parse_as_the_whole_text(lead, pairs, trail, slice_chars):
+    text = lead + "".join(tok + sep for tok, sep in pairs).rstrip() + trail
+    data = text.encode()
+    if not data.isascii():
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqcore, "_SLICE_CHARS", slice_chars)
+        parts = list(seqcore.term_slices(data))
+        got = parse_outcome(lambda _: [t for p in parts for t in parse_terms(p.decode())], text)
+    assert b"".join(parts) == data
     assert got == parse_outcome(tokenwise_parse_terms, text)
 
 
