@@ -14,9 +14,8 @@ _MODULE_OF = {name: module for module, names in {
         needs_branch seam_above seam_below""",
     "inverse": """EMPTY_INTERVAL ThetaInterval first_divergence seed_interval
         theta_interval_from_prefix""",
-    "seqcore": """AnnotatedTerm ConstructionError FractalCheck InitialSegment SegmentKind
-        annotate_ranks check_doubly_fractal_prefix classify_initial_segment lower_trim
-        occurrence_index parse_terms rank_stream upper_trim""",
+    "seqcore": """AnnotatedTerm ConstructionError FractalCheck SegmentKind annotate_ranks
+        check_doubly_fractal_prefix lower_trim parse_terms rank_stream upper_trim""",
     "signature": """ExactNumber Surd brute_force_signature compare_affine generate_signature
         parse_theta signature_runs""",
 }.items() for name in names.split()}

@@ -35,8 +35,8 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 # check_doubly_fractal_prefix is here only for the tracer.
-from .seqcore import (ASCII_SPACE, ConstructionError, check_doubly_fractal_prefix,
-                      check_doubly_fractal_slices, lower_trim, parse_terms, rank_stream,
+from .seqcore import (ASCII_SPACE, ConstructionError, PrefixChecker,
+                      check_doubly_fractal_prefix, lower_trim, parse_terms, rank_stream,
                       term_slices, upper_trim)
 
 # What each command takes from construction, inverse and signature;
@@ -174,7 +174,10 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = check_doubly_fractal_slices(_parsed_slices(_read_input(args.input)))
+    checker = PrefixChecker()
+    for terms in _parsed_slices(_read_input(args.input)):
+        checker.feed(terms)
+    report = checker.report()
     print(f"upper_ok: {'true' if report.upper_ok else 'false'}")
     print(f"lower_ok: {'true' if report.lower_ok else 'false'}")
     if report.first_violation_index is not None:

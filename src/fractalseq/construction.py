@@ -5,18 +5,18 @@ leading 1 to the next occurrence of the largest main term n; the main
 terms 1..n form the first block, and the second block rewrites them
 with one fresh value woven after each main term except n.
 
-Each term is forced by the two trims, except at a fork.  At the cursors
-of :class:`~fractalseq.seqcore.PrefixChecker`, a repeated next term
-must be u = terms[upper] and a next term above 1 must be
-f = terms[lower] + 1.  The terms so far are exactly 1..fresh-1, so f is
-either seen or the fresh value.  The next term is u when u == f, or
-when u == 1 and f is seen, and f when f is fresh and u != 1; else no
-term can follow.  When u == 1 and f is fresh the sequence forks, and a
-:class:`Branch` picks the term: ONE_FIRST starts the next block with 1,
-FRESH_FIRST places f.  With k ones so far, ONE_FIRST keeps theta below
-(f-1)/k and FRESH_FIRST above it.  Every choice is logged.  A term
-picked this way passes exactly the tests of ``PrefixChecker.advance``,
-so the prefix is doubly fractal by construction.  This is the paper's
+Each term is forced by the two trims, except at a fork.  At the state's
+two trim cursors, a repeated next term must be u = terms[upper] and a
+next term above 1 must be f = terms[lower] + 1.  The terms so far are
+exactly 1..fresh-1, so f is either seen or the fresh value.  The next
+term is u when u == f, or when u == 1 and f is seen, and f when f is
+fresh and u != 1; else no term can follow.  When u == 1 and f is fresh
+the sequence forks, and a :class:`Branch` picks the term: ONE_FIRST
+starts the next block with 1, FRESH_FIRST places f.  With k ones so
+far, ONE_FIRST keeps theta below (f-1)/k and FRESH_FIRST above it.
+Every choice is logged.  A term picked this way passes exactly the two
+trims' tests of :class:`~fractalseq.seqcore.PrefixChecker`, so the
+prefix is doubly fractal by construction.  This is the paper's
 converse: the trims alone determine the sequence, but for the forks.
 
 The paper explains a step as a merge of two "seam" windows, which both
@@ -55,26 +55,29 @@ class ConstructionState:
 
     ``block_starts`` holds the 1-based index of each block's leading 1,
     and the last term is always the last block's closing n.  The
-    ``checker`` holds what growth needs of ``terms``: the two trim
-    cursors and the next fresh value.  A doubly fractal prefix holds
-    exactly the values 1..max, so ``fresh`` is 1 + max(terms).  The
-    constructor advances ``checker`` over ``terms`` and refuses a prefix
-    that fails.  Each term is forced by the two trims except at a fork,
-    and ``branch_log`` records the Branch taken at every fork, in order.
-    Between steps ``terms`` only grows: editing terms is outside the
-    contract, and the next step would not notice.
+    constructor checks ``terms`` once with
+    :class:`~fractalseq.seqcore.PrefixChecker` and refuses a prefix that
+    fails.  ``cursors`` holds what growth needs of ``terms``: the lengths
+    of the upper and the lower trim, which index the terms the next
+    repeated value and the next value above 1 must match, and the next
+    fresh value.  A passing prefix holds exactly the values 1..max, so
+    they are len - max, len - (number of 1s) and max + 1.  Each term is
+    forced by the two trims except at a fork, and ``branch_log`` records
+    the Branch taken at every fork, in order.  Between steps ``terms``
+    only grows: editing terms is outside the contract, and the next step
+    would not notice.
     """
 
-    __slots__ = ("n", "terms", "block_starts", "branch_log", "checker")
+    __slots__ = ("n", "terms", "block_starts", "branch_log", "cursors")
 
     def __init__(self, n: int, terms: list[int], block_starts: list[int], *,
-                 branch_log: Optional[list[Branch]] = None,
-                 checker: Optional[PrefixChecker] = None) -> None:
+                 branch_log: Optional[list[Branch]] = None) -> None:
         self.n, self.terms, self.block_starts = n, terms, block_starts
         self.branch_log = [] if branch_log is None else branch_log
-        self.checker = PrefixChecker() if checker is None else checker
-        if not self.checker.advance(terms):
+        if not PrefixChecker().feed(terms):
             raise ConstructionError("terms are not a doubly fractal prefix")
+        top = max(terms, default=0)
+        self.cursors = (len(terms) - top, len(terms) - terms.count(1), top + 1)
 
     @property
     def blocks(self) -> int:
@@ -82,11 +85,14 @@ class ConstructionState:
 
     @property
     def fresh(self) -> int:
-        return self.checker.fresh
+        return self.cursors[2]
 
     def clone(self) -> "ConstructionState":
-        return ConstructionState(self.n, list(self.terms), list(self.block_starts),
-                                 branch_log=list(self.branch_log), checker=self.checker.copy())
+        twin = object.__new__(ConstructionState)  # skips __init__: the terms were checked
+        twin.n, twin.cursors = self.n, self.cursors
+        twin.terms, twin.block_starts = list(self.terms), list(self.block_starts)
+        twin.branch_log = list(self.branch_log)
+        return twin
 
 
 def init_ramp(n: int) -> ConstructionState:
@@ -101,9 +107,10 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     n = state.n
     if state.blocks != 1 or state.terms != list(range(1, n + 1)):
         raise ConstructionError("second block can only follow the bare seed")
-    state.terms.append(1)  # the seed's closing 1; the rest is forced
+    state.terms.append(1)  # the seed's closing 1, a repeat; the rest is forced
     state.block_starts.append(n + 1)
-    state.checker.advance(state.terms)
+    upper, lower, fresh = state.cursors
+    state.cursors = (upper + 1, lower, fresh)
     _grow(state, None)
     return state
 
@@ -217,8 +224,8 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
     returns False; a call given one raises, as does a dead end.  True
     once the block is closed.
     """
-    n, terms, checker = state.n, state.terms, state.checker
-    upper, lower, fresh = checker.upper, checker.lower, checker.fresh
+    n, terms = state.n, state.terms
+    upper, lower, fresh = state.cursors
     given = branch is not None
     try:
         while True:
@@ -252,8 +259,7 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
             elif t == n:
                 return True
     finally:
-        checker.fresh, checker.upper, checker.lower = fresh, upper, lower
-        checker.checked = len(terms)
+        state.cursors = (upper, lower, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ within a prefix is a first occurrence in any extension, and subtracting 1
 is pointwise.  The doubly-fractal checker therefore tests "trim(s) is a
 prefix of s" rather than equality, which is the correct finite form of
 the self-similarity property.  ``check_doubly_fractal_prefix`` builds
-both trims of a list; ``check_doubly_fractal_slices`` gives the same
-report in one pass over a sequence handed in slices, and
-``PrefixChecker`` follows a growing list.
+both trims of a list and is the oracle; ``PrefixChecker`` folds over a
+sequence handed in slices and gives the same report.
 
 Term input is cut into slices of about ``_SLICE_CHARS`` characters, each
 ending at whitespace, so that a caller can parse and fold over one slice
@@ -76,22 +75,6 @@ def lower_trim(terms: Iterable[int]) -> list[int]:
     return [t - 1 for t in terms if t > 1]
 
 
-def occurrence_index(terms: Iterable[int], value: int, k: int) -> Optional[int]:
-    """1-based index of the k-th occurrence of ``value``, or None.
-
-    Fewer than ``k`` occurrences is a normal condition, not an error.
-    """
-    if value < 1 or k < 1:
-        raise ValueError("value and k must be positive")
-    remaining = k
-    for pos, t in enumerate(terms, start=1):
-        if t == value:
-            remaining -= 1
-            if remaining == 0:
-                return pos
-    return None
-
-
 def annotate_ranks(terms: Iterable[int]) -> list[AnnotatedTerm]:
     """Pair every term with its occurrence rank."""
     seq = list(terms)
@@ -109,60 +92,14 @@ def rank_stream(terms: Iterable[int]) -> list[int]:
 
 
 class SegmentKind(Enum):
-    """How a prefix opens.
+    """How a doubly fractal sequence opens.
 
     RAMP:  (1, 2, ..., n, 1, ...) with n >= 2.
     ONES:  (1, 1, ..., 1, 2, ...) with n >= 2 leading ones.
-    INDETERMINATE: too short to decide (all ones so far, or a pure ramp).
-    INVALID: cannot open any doubly fractal sequence.
     """
 
     RAMP = "ramp"
     ONES = "ones"
-    INDETERMINATE = "indeterminate"
-    INVALID = "invalid"
-
-
-class InitialSegment(NamedTuple):
-    kind: SegmentKind
-    n: Optional[int] = None
-
-
-def classify_initial_segment(terms: Iterable[int]) -> InitialSegment:
-    """Classify how a prefix opens.
-
-    A doubly fractal sequence is forced to open either with a ramp
-    (1, 2, ..., n) closed by a 1, or with a run of n ones closed by a 2.
-    Short prefixes that have not yet reached the closing term are
-    INDETERMINATE; anything off both forced forms is INVALID.
-    """
-    seq = list(terms)
-    if not seq:
-        return InitialSegment(SegmentKind.INDETERMINATE)
-    if seq[0] != 1:
-        return InitialSegment(SegmentKind.INVALID)
-
-    ones = 0
-    while ones < len(seq) and seq[ones] == 1:
-        ones += 1
-    if ones == len(seq):
-        return InitialSegment(SegmentKind.INDETERMINATE)
-    if ones >= 2:
-        if seq[ones] == 2:
-            return InitialSegment(SegmentKind.ONES, ones)
-        return InitialSegment(SegmentKind.INVALID)
-
-    # Exactly one leading 1: staircase territory.
-    ramp = 1
-    while ramp < len(seq) and seq[ramp] == ramp + 1:
-        ramp += 1
-    if ramp == 1:
-        return InitialSegment(SegmentKind.INVALID)  # jump such as (1, 3, ...)
-    if ramp == len(seq):
-        return InitialSegment(SegmentKind.INDETERMINATE)
-    if seq[ramp] == 1:
-        return InitialSegment(SegmentKind.RAMP, ramp)
-    return InitialSegment(SegmentKind.INVALID)
 
 
 class FractalCheck(NamedTuple):
@@ -208,32 +145,44 @@ def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
     )
 
 
-def check_doubly_fractal_slices(slices: Iterable[Sequence[int]]) -> FractalCheck:
+class PrefixChecker:
     """:func:`check_doubly_fractal_prefix` in one pass over a sequence
-    handed in consecutive slices.
+    handed to :meth:`feed` in consecutive slices.
 
     The k-th repeated value must equal term k, and so must the k-th value
     above 1, lowered by 1; ``up`` and ``low`` index term k for each trim.
     Both lag the term that moves them, so ``window`` keeps only the terms
     from the lagging cursor of a trim still passing onward, and ``base``
     is the position of its first term.  A trim's first mismatch is final,
-    and once both trims have failed no term is kept.  Every slice is
-    read all the same, and every term must be >= 1.
+    and once both trims have failed no term is kept.  Every slice must
+    hold terms >= 1, also after both trims have failed.
 
-    >>> check_doubly_fractal_slices([[1, 2], [1, 3, 2, 4]])
+    >>> checker = PrefixChecker()
+    >>> checker.feed([1, 2]), checker.feed([1, 3, 2, 4])
+    (True, True)
+    >>> checker.report()
     FractalCheck(upper_ok=True, lower_ok=True, first_violation_index=None)
-    >>> check_doubly_fractal_slices([[1, 2, 1], [3, 3]])
-    FractalCheck(upper_ok=False, lower_ok=False, first_violation_index=2)
+    >>> checker.feed([3, 3]), checker.report()
+    (False, FractalCheck(upper_ok=False, lower_ok=False, first_violation_index=3))
     """
-    seen: set[int] = set()
-    window: list[int] = []
-    base = up = low = 0
-    bad_up = bad_low = None
-    for part in slices:
+
+    __slots__ = ("seen", "window", "base", "up", "low", "bad_up", "bad_low")
+
+    def __init__(self) -> None:
+        self.seen: set[int] = set()
+        self.window: list[int] = []
+        self.base = self.up = self.low = 0
+        self.bad_up: Optional[int] = None
+        self.bad_low: Optional[int] = None
+
+    def feed(self, part: Sequence[int]) -> bool:
+        """Check the next slice; True while both trims pass."""
         if min(part, default=1) < 1:
             raise ValueError("terms must be >= 1")
+        bad_up, bad_low = self.bad_up, self.bad_low
         if bad_up is not None and bad_low is not None:
-            continue
+            return False
+        seen, window, base, up, low = self.seen, self.window, self.base, self.up, self.low
         window += part
         for t in part:
             if bad_up is None:
@@ -250,63 +199,23 @@ def check_doubly_fractal_slices(slices: Iterable[Sequence[int]]) -> FractalCheck
         drop = min(up if bad_up is None else len(window),
                    low if bad_low is None else len(window))
         del window[:drop]
-        base, up, low = base + drop, up - drop, low - drop
-    return FractalCheck(
-        upper_ok=bad_up is None,
-        lower_ok=bad_low is None,
-        first_violation_index=min(filter(None, (bad_up, bad_low)), default=None),
-    )
+        self.base, self.up, self.low = base + drop, up - drop, low - drop
+        self.bad_up, self.bad_low = bad_up, bad_low
+        return bad_up is None and bad_low is None
 
-
-class PrefixChecker:
-    """Incremental form of :func:`check_doubly_fractal_prefix`.
-
-    Each :meth:`advance` call is handed the whole growing list and
-    checks only the terms added since the previous call, so checking a
-    list term by term costs linear time in total.  ``upper`` and
-    ``lower`` index the next term of the list that the next repeated
-    value, and the next value above 1 lowered by 1, must equal.  Lower
-    trimming puts an earlier v-1 before every first v > 1, so a passing
-    prefix holds exactly the values 1..max, and ``fresh`` = max + 1 is
-    all that is kept of the values seen.  The list may only grow
-    between calls.  Once a prefix fails, ``ok`` stays False, as every
-    extension of a failing prefix fails too.  Terms are integers >= 1;
-    a term below 1 fails.
-    """
-
-    __slots__ = ("fresh", "upper", "lower", "checked", "ok")
-
-    def __init__(self) -> None:
-        self.fresh = 1
-        self.upper = self.lower = self.checked = 0
-        self.ok = True
-
-    def advance(self, terms: Sequence[int]) -> bool:
-        """Check ``terms[self.checked:]``; True while the prefix passes."""
-        if not self.ok:
-            return False
-        fresh, upper, lower = self.fresh, self.upper, self.lower
-        for k in range(self.checked, len(terms)):
-            t = terms[k]
-            if t < fresh:
-                if t != terms[upper] or t < 1:
-                    self.ok = False
-                    return False
-                upper += 1
-            else:
-                fresh += 1  # a t above the old fresh fails the lower test
-            if t > 1:
-                if t - 1 != terms[lower]:
-                    self.ok = False
-                    return False
-                lower += 1
-        self.fresh, self.upper, self.lower, self.checked = fresh, upper, lower, len(terms)
-        return True
+    def report(self) -> FractalCheck:
+        """The report on every term fed so far."""
+        return FractalCheck(
+            upper_ok=self.bad_up is None,
+            lower_ok=self.bad_low is None,
+            first_violation_index=min(filter(None, (self.bad_up, self.bad_low)), default=None),
+        )
 
     def copy(self) -> "PrefixChecker":
         twin = PrefixChecker()
-        twin.fresh, twin.upper, twin.lower = self.fresh, self.upper, self.lower
-        twin.checked, twin.ok = self.checked, self.ok
+        twin.seen, twin.window = set(self.seen), list(self.window)
+        twin.base, twin.up, twin.low = self.base, self.up, self.low
+        twin.bad_up, twin.bad_low = self.bad_up, self.bad_low
         return twin
 
 

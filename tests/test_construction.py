@@ -9,10 +9,9 @@ from fractalseq import (Branch, ConstructionError, ConstructionState,
                         check_doubly_fractal_prefix, construct_ones,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
-                        generate_signature, init_ramp, merge_seams,
-                        needs_branch, occurrence_index, rank_stream,
-                        seam_above, seam_below, theta_interval_from_prefix,
-                        upper_trim)
+                        generate_signature, init_ramp, lower_trim, merge_seams,
+                        needs_branch, rank_stream, seam_above, seam_below,
+                        theta_interval_from_prefix, upper_trim)
 
 from fixtures import (RAMP4_BRANCHES, RAMP4_RANK_STREAM, RAMP4_STEPS,
                       RAMP4_TERMS)
@@ -322,18 +321,12 @@ def test_part_recurrence():
         for idx, v in enumerate(terms):
             survivor[idx] = v in seen
             seen.add(v)
-        k = 1
-        while True:
-            a = occurrence_index(terms, n, k)
-            b = occurrence_index(terms, n, k + 1)
-            c = occurrence_index(terms, n, k + 2)
-            if c is None:
-                break
-            part_k = terms[a - 1:b - 1]
-            part_next = terms[b - 1:c - 1]
-            survivors = [v for off, v in enumerate(part_next) if survivor[b - 1 + off]]
+        at_n = [idx for idx, v in enumerate(terms) if v == n]
+        for k, (a, b, c) in enumerate(zip(at_n, at_n[1:], at_n[2:]), start=1):
+            part_k = terms[a:b]
+            part_next = terms[b:c]
+            survivors = [v for off, v in enumerate(part_next) if survivor[b + off]]
             assert survivors == part_k, (n, k)
-            k += 1
 
 
 def test_upper_trim_peels_one_block():
@@ -461,11 +454,37 @@ def test_grown_blocks_match_the_procedure_on_both_sides_of_every_fork():
     assert forks > 50 and signs == {False, True}
 
 
+def assert_cursors_are_the_trim_lengths(state):
+    terms = state.terms
+    want = (len(upper_trim(terms)), len(lower_trim(terms)), max(terms) + 1)
+    assert state.cursors == want, (state.n, state.blocks)
+
+
+def test_cursors_are_the_trim_lengths_after_every_block():
+    # Growth keeps the cursors by hand; the trims of the terms recount them.
+    rng = random.Random(2024)
+    for n in range(2, 10):
+        state = init_ramp(n)
+        assert_cursors_are_the_trim_lengths(state)
+        extend_second_block(state)
+        assert_cursors_are_the_trim_lengths(state)
+        while state.blocks < 40:
+            if not construction._grow(state, None):
+                assert_cursors_are_the_trim_lengths(state)
+                branch = rng.choice([ONE, FRESH])
+                twin = state.clone()
+                assert_cursors_are_the_trim_lengths(twin)
+                assert construction._grow(twin, FRESH if branch is ONE else ONE)
+                assert_cursors_are_the_trim_lengths(twin)
+                assert construction._grow(state, branch)
+            assert_cursors_are_the_trim_lengths(state)
+
+
 def test_dead_end_is_refused():
     # Cursors set by hand: upper trimming asks for 2 and lower trimming
     # for 3, which is taken, so no term can follow.
     state = ConstructionState(3, [1, 2, 3], [1])
-    state.checker.upper = state.checker.lower = 1
+    state.cursors = (1, 1, 4)
     with pytest.raises(ConstructionError, match="no term can follow term 3: "
                                                 "upper trimming asks for 2, lower trimming for 3"):
         construction._grow(state, None)
@@ -504,9 +523,7 @@ def test_forced_step_refuses_a_fork(monkeypatch):
 
 def test_growing_a_clone_leaves_the_original_unchanged():
     def snapshot(s):
-        c = s.checker
-        return (list(s.terms), list(s.block_starts), list(s.branch_log),
-                c.fresh, c.upper, c.lower, c.checked, c.ok)
+        return list(s.terms), list(s.block_starts), list(s.branch_log), s.cursors
 
     state = construct_ramp_state(5, 6, FRESH)
     while construction._grow(state, None):

@@ -300,14 +300,17 @@ def test_interior_witness_regenerates(prefix):
 
 # --- every doubly fractal prefix up to a length ------------------------------------
 
-def two_candidates(terms, checker):
-    """The next terms the construction's stepper allows: u = terms[upper]
-    when u is 1 or f, and f = terms[lower] + 1 when f is fresh or u."""
-    u, f = terms[checker.upper], terms[checker.lower] + 1
+def two_candidates(terms):
+    """The next terms the construction's stepper allows, at the cursors
+    that ``ConstructionState`` derives from a passing prefix: u =
+    terms[len - max] when u is 1 or f, and f = terms[len - count(1)] + 1
+    when f is fresh (max + 1) or u."""
+    top = max(terms)
+    u, f = terms[len(terms) - top], terms[len(terms) - terms.count(1)] + 1
     allowed = set()
     if u in (1, f):
         allowed.add(u)
-    if f == u or f == checker.fresh:
+    if f == u or f == top + 1:
         allowed.add(f)
     return sorted(allowed)
 
@@ -316,7 +319,7 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
     # Level by level, every prefix that the checker accepts, with next
     # values 1..max+1 tried at each node.
     checker = PrefixChecker()
-    checker.advance([1])
+    checker.feed([1])
     level, sizes = [([1], checker)], [1]
     while len(level[0][0]) < 150:
         grown = []
@@ -324,10 +327,10 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
             accepted = []
             for v in range(1, max(prefix) + 2):
                 twin = checker.copy()
-                if twin.advance(prefix + [v]):
+                if twin.feed([v]):
                     accepted.append(v)
                     grown.append((prefix + [v], twin))
-            assert accepted == two_candidates(prefix, checker), prefix
+            assert accepted == two_candidates(prefix), prefix
         level = grown
         sizes.append(len(level))
     assert sizes[:15] == [1, 2, 4, 6, 8, 12, 14, 16, 20, 24, 26, 32, 34, 36, 42]

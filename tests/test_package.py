@@ -1,26 +1,25 @@
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fractalseq
-from fractalseq import (ConstructionState, FractalCheck, InitialSegment, SeamMerge,
-                        SegmentKind, Surd, ThetaInterval)
+from fractalseq import ConstructionState, FractalCheck, SeamMerge, Surd, ThetaInterval
 from fractalseq import construction, seqcore
 
 PUBLIC_NAMES = [
     "AnnotatedTerm", "Branch", "ConstructionError", "ConstructionState",
-    "EMPTY_INTERVAL", "ExactNumber", "FractalCheck", "InitialSegment",
-    "SeamMerge", "SegmentKind", "Surd", "ThetaInterval", "annotate_ranks",
-    "brute_force_signature", "check_doubly_fractal_prefix",
-    "classify_initial_segment", "compare_affine", "construct_ones",
-    "construct_ramp_state", "enumerate_ramp",
+    "EMPTY_INTERVAL", "ExactNumber", "FractalCheck", "SeamMerge",
+    "SegmentKind", "Surd", "ThetaInterval", "annotate_ranks",
+    "brute_force_signature", "check_doubly_fractal_prefix", "compare_affine",
+    "construct_ones", "construct_ramp_state", "enumerate_ramp",
     "extend_next_block", "extend_second_block", "first_divergence",
     "generate_signature", "init_ramp", "lower_trim", "merge_seams",
-    "needs_branch", "occurrence_index", "parse_terms", "parse_theta",
-    "rank_stream", "seam_above", "seam_below", "seed_interval",
-    "signature_runs", "theta_interval_from_prefix", "upper_trim",
+    "needs_branch", "parse_terms", "parse_theta", "rank_stream",
+    "seam_above", "seam_below", "seed_interval", "signature_runs",
+    "theta_interval_from_prefix", "upper_trim",
 ]
 
 
@@ -49,7 +48,6 @@ VALUES = [
     Surd.sqrt(13),
     ThetaInterval(Fraction(1, 4), True, Fraction(1, 3), True),
     FractalCheck(True, False, 3),
-    InitialSegment(SegmentKind.RAMP, 4),
     SeamMerge(6, (6, 3, 1), 2),
 ]
 
@@ -80,6 +78,17 @@ def test_surd_survives_copy_and_pickle():
 def test_construction_state_defaults_are_fresh():
     a, b = (ConstructionState(2, [1, 2], [1]) for _ in range(2))
     assert a.branch_log == [] and a.branch_log is not b.branch_log
-    assert a.checker is not b.checker and a.fresh == 3
+    assert a.cursors == (0, 1, 3) and a.fresh == 3
     with pytest.raises(AttributeError):
         a.extra = 0
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    run, iv, regen = namespace["run"], namespace["iv"], namespace["regen"]
+    assert namespace["check_doubly_fractal_prefix"](run).ok
+    assert str(iv) == "[10/3, 7/2]"
+    assert [t.value for t in regen] == run

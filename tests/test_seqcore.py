@@ -6,13 +6,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from fractalseq import (AnnotatedTerm, Branch, SegmentKind, Surd, annotate_ranks,
-                        check_doubly_fractal_prefix, classify_initial_segment,
-                        construct_ramp_state, generate_signature, lower_trim,
-                        occurrence_index, parse_terms, parse_theta, rank_stream,
-                        upper_trim)
+from fractalseq import (AnnotatedTerm, Branch, Surd, annotate_ranks,
+                        check_doubly_fractal_prefix, construct_ramp_state,
+                        generate_signature, lower_trim, parse_terms, parse_theta,
+                        rank_stream, upper_trim)
 from fractalseq import seqcore
-from fractalseq.seqcore import PrefixChecker, check_doubly_fractal_slices
+from fractalseq.seqcore import PrefixChecker
 
 from fixtures import RAMP4_TERMS, SQRT13_PREFIX
 
@@ -80,27 +79,7 @@ def test_trims_commute_with_prefixing_at_scale():
             assert t_full[:len(t_pre)] == t_pre
 
 
-# --- occurrence bookkeeping ----------------------------------------------
-
-def test_occurrence_index_in_construction_prefix():
-    through_block_3 = RAMP4_TERMS[:21]
-    assert occurrence_index(through_block_3, 4, 2) == 11
-
-
-def test_occurrence_index_absent_value():
-    assert occurrence_index([1, 2, 3], 5, 1) is None
-
-
-def test_occurrence_index_first_fresh():
-    assert occurrence_index(RAMP4_TERMS, 5, 1) == 6
-
-
-def test_occurrence_index_rejects_bad_args():
-    with pytest.raises(ValueError):
-        occurrence_index([1], 0, 1)
-    with pytest.raises(ValueError):
-        occurrence_index([1], 1, 0)
-
+# --- occurrence ranks ----------------------------------------------------
 
 def test_annotate_ranks_simple():
     assert annotate_ranks([1, 2, 3, 4, 1]) == [
@@ -144,37 +123,6 @@ def test_ranks_match_recounting_oracle(seq):
     assert annotate_ranks(iter(seq)) == [AnnotatedTerm(v, r) for v, r in zip(seq, ranks)]
 
 
-# --- initial segment classification --------------------------------------
-
-@pytest.mark.parametrize("seq,kind,n", [
-    ([1, 2, 3, 4, 1, 5], SegmentKind.RAMP, 4),
-    ([1, 2, 1], SegmentKind.RAMP, 2),
-    ([1, 1, 1, 1, 2], SegmentKind.ONES, 4),
-    ([1, 1, 2], SegmentKind.ONES, 2),
-])
-def test_classify_decided(seq, kind, n):
-    got = classify_initial_segment(seq)
-    assert got.kind is kind and got.n == n
-
-
-@pytest.mark.parametrize("seq", [
-    [], [1], [1, 1], [1, 1, 1], [1, 2], [1, 2, 3], [1, 2, 3, 4],
-])
-def test_classify_indeterminate(seq):
-    assert classify_initial_segment(seq).kind is SegmentKind.INDETERMINATE
-
-
-@pytest.mark.parametrize("seq", [
-    [2, 1],            # must open with 1
-    [1, 3],            # jump past 2
-    [1, 1, 3],         # a run of ones must close with 2
-    [1, 2, 2],         # a ramp must close with 1
-    [1, 2, 3, 5],      # broken ramp, not closed by 1
-])
-def test_classify_invalid(seq):
-    assert classify_initial_segment(seq).kind is SegmentKind.INVALID
-
-
 # --- doubly-fractal prefix checker ----------------------------------------
 
 def test_check_passes_on_construction_run():
@@ -216,10 +164,19 @@ def test_checkers_refuse_terms_below_one(slices):
     with pytest.raises(ValueError, match="^terms must be >= 1$"):
         check_doubly_fractal_prefix(seq)
     with pytest.raises(ValueError, match="^terms must be >= 1$"):
-        check_doubly_fractal_slices(slices)
+        fold(slices)
 
 
 # --- one-pass checker over slices ----------------------------------------------
+
+def fold(slices):
+    """Feed ``slices`` to one PrefixChecker, as ``check`` does, and
+    return its report."""
+    checker = PrefixChecker()
+    for part in slices:
+        checker.feed(part)
+    return checker.report()
+
 
 def cut_at(seq, sizes):
     """``seq`` cut into consecutive slices of the given sizes, then the rest."""
@@ -233,7 +190,7 @@ def cut_at(seq, sizes):
 @given(st.lists(st.integers(1, 6) | st.integers(min_value=1), max_size=60),
        st.lists(st.integers(0, 8), max_size=30))
 def test_sliced_check_matches_full_checker_on_small_lists(seq, sizes):
-    assert check_doubly_fractal_slices(cut_at(seq, sizes)) == check_doubly_fractal_prefix(seq)
+    assert fold(cut_at(seq, sizes)) == check_doubly_fractal_prefix(seq)
 
 
 SIGNATURES = [[t.value for t in generate_signature(parse_theta(text), 3000)]
@@ -248,7 +205,7 @@ def test_sliced_check_matches_full_checker_on_signatures(values, n, fault, at, s
         seq[k], seq[k + 1] = seq[k + 1], seq[k]
     elif fault == "bump":
         seq[k] += -1 if seq[k] > 1 and at % 2 else 1
-    report = check_doubly_fractal_slices(cut_at(seq, sizes))
+    report = fold(cut_at(seq, sizes))
     assert report == check_doubly_fractal_prefix(seq)
     assert report.ok or fault
 
@@ -258,20 +215,22 @@ def test_sliced_check_finds_the_first_violation_of_a_long_run():
     seq[1500] += 1
     want = check_doubly_fractal_prefix(seq)
     assert not want.ok and want.first_violation_index < 1500
-    assert check_doubly_fractal_slices(cut_at(seq, [7] * 300)) == want
-    assert check_doubly_fractal_slices([seq]) == want
+    assert fold(cut_at(seq, [7] * 300)) == want
+    assert fold([seq]) == want
 
 
 # --- incremental checker ---------------------------------------------------
 
 def assert_agrees_at_every_cut(seq, cuts):
-    """Grow one list to each cut in turn; after every advance the
-    incremental verdict equals the full checker's, and a failure sticks."""
-    checker, grown, failed = PrefixChecker(), [], False
+    """Feed one checker the terms up to each cut in turn; after every
+    slice its verdict and report equal the list oracle's, and a failure
+    sticks."""
+    checker, at, failed = PrefixChecker(), 0, False
     for cut in cuts:
-        grown += seq[len(grown):cut]
-        ok = checker.advance(grown)
-        assert ok == check_doubly_fractal_prefix(grown).ok, cut
+        ok = checker.feed(seq[at:cut])
+        at = cut
+        want = check_doubly_fractal_prefix(seq[:cut])
+        assert (ok, checker.report()) == (want.ok, want), cut
         assert not (failed and ok), cut
         failed = not ok
 
@@ -317,8 +276,8 @@ def test_incremental_checker_agrees_on_a_long_run():
 
 
 def assert_passing_prefixes_hold_one_to_max(seq, cuts):
-    """The lemma behind ``PrefixChecker.fresh``: a prefix that the
-    set-based checker accepts holds exactly the values 1..max."""
+    """The lemma behind ``ConstructionState.cursors``: a prefix that the
+    checker accepts holds exactly the values 1..max."""
     for cut in cuts:
         prefix = seq[:cut]
         if check_doubly_fractal_prefix(prefix).ok:
@@ -340,31 +299,36 @@ def test_passing_corrupted_runs_hold_one_to_max(at, value, cut):
 
 @pytest.mark.parametrize("seq", [[0], [1, 0], [2], [1, 3], [1, 2, 1, 4]], ids=str)
 def test_incremental_checker_refuses_zero_and_gaps(seq):
-    # Terms below 1 lie outside the domain: the full checker raises on
-    # them, and the incremental checker fails them.
+    # Terms below 1 lie outside the domain and raise, as in the list
+    # oracle; a gap fails, and the failure sticks.
     checker = PrefixChecker()
-    assert not checker.advance(seq)
-    assert not checker.ok
+    if min(seq) < 1:
+        with pytest.raises(ValueError, match="^terms must be >= 1$"):
+            checker.feed(seq)
+    else:
+        assert not checker.feed(seq)
+        assert not checker.feed([1])
+        assert checker.report() == check_doubly_fractal_prefix(seq + [1])
 
 
 def test_incremental_checker_refuses_a_gap_after_a_passing_prefix():
     checker = PrefixChecker()
     prefix = RAMP4_TERMS[:20]
-    assert checker.advance(prefix)
-    assert checker.fresh == max(prefix) + 1
-    gap = prefix + [checker.fresh + 1]
-    assert not check_doubly_fractal_prefix(gap).ok
-    assert not checker.copy().advance(gap)
-    assert checker.advance(RAMP4_TERMS)
+    assert checker.feed(prefix)
+    gap = [max(prefix) + 2]
+    assert not check_doubly_fractal_prefix(prefix + gap).ok
+    assert not checker.copy().feed(gap)
+    assert checker.feed(RAMP4_TERMS[20:])
 
 
 def test_incremental_checker_copy_is_independent():
     checker = PrefixChecker()
-    checker.advance(RAMP4_TERMS[:20])
+    checker.feed(RAMP4_TERMS[:20])
     twin = checker.copy()
-    assert not twin.advance(RAMP4_TERMS[:20] + [9])
-    assert checker.ok and checker.checked == 20
-    assert checker.advance(RAMP4_TERMS)
+    assert not twin.feed([9])
+    assert checker.report().ok
+    assert checker.feed(RAMP4_TERMS[20:])
+    assert twin.report() == check_doubly_fractal_prefix(RAMP4_TERMS[:20] + [9])
 
 
 # --- text format -----------------------------------------------------------
