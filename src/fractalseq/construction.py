@@ -14,10 +14,10 @@ fresh and u != 1; else no term can follow.  When u == 1 and f is fresh
 the sequence forks, and a :class:`Branch` picks the term: ONE_FIRST
 starts the next block with 1, FRESH_FIRST places f.  With k ones so
 far, ONE_FIRST keeps theta below (f-1)/k and FRESH_FIRST above it.
-Every choice is logged.  A term picked this way passes exactly the two
-trims' tests of :class:`~fractalseq.seqcore.PrefixChecker`, so the
-prefix is doubly fractal by construction.  This is the paper's
-converse: the trims alone determine the sequence, but for the forks.
+Every choice is logged.  A term picked this way passes exactly the
+tests of the two trims, so the prefix is doubly fractal by
+construction.  This is the paper's converse: the trims alone determine
+the sequence, but for the forks.
 
 The paper explains a step as a merge of two "seam" windows, which both
 predict the stretch from the last closing n up to the next n+1.  The
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 # check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
 # construction.check_doubly_fractal_prefix.
-from .seqcore import (ConstructionError, PrefixChecker, check_doubly_fractal_prefix,
-                      rank_stream)
+from .seqcore import ConstructionError, check_doubly_fractal_prefix, rank_stream
 
 
 class Branch(Enum):
@@ -51,33 +50,30 @@ class Branch(Enum):
 
 
 class ConstructionState:
-    """Mutable state of one construction run.
+    """Mutable state of one construction run, started from the ramp seed
+    (1, 2, ..., n).
 
     ``block_starts`` holds the 1-based index of each block's leading 1,
-    and the last term is always the last block's closing n.  The
-    constructor checks ``terms`` once with
-    :class:`~fractalseq.seqcore.PrefixChecker` and refuses a prefix that
-    fails.  ``cursors`` holds what growth needs of ``terms``: the lengths
-    of the upper and the lower trim, which index the terms the next
-    repeated value and the next value above 1 must match, and the next
-    fresh value.  A passing prefix holds exactly the values 1..max, so
-    they are len - max, len - (number of 1s) and max + 1.  Each term is
-    forced by the two trims except at a fork, and ``branch_log`` records
-    the Branch taken at every fork, in order.  Between steps ``terms``
-    only grows: editing terms is outside the contract, and the next step
+    and the last term is always the last block's closing n.  ``cursors``
+    holds what growth needs of ``terms``: the lengths of the upper and
+    the lower trim, which index the terms the next repeated value and
+    the next value above 1 must match, and the next fresh value.  A
+    passing prefix holds exactly the values 1..max, so they are
+    len - max, len - (number of 1s) and max + 1.  Each term is forced by
+    the two trims except at a fork, and ``branch_log`` records the
+    Branch taken at every fork, in order.  Between steps ``terms`` only
+    grows: editing terms is outside the contract, and the next step
     would not notice.
     """
 
     __slots__ = ("n", "terms", "block_starts", "branch_log", "cursors")
 
-    def __init__(self, n: int, terms: list[int], block_starts: list[int], *,
-                 branch_log: Optional[list[Branch]] = None) -> None:
-        self.n, self.terms, self.block_starts = n, terms, block_starts
-        self.branch_log = [] if branch_log is None else branch_log
-        if not PrefixChecker().feed(terms):
-            raise ConstructionError("terms are not a doubly fractal prefix")
-        top = max(terms, default=0)
-        self.cursors = (len(terms) - top, len(terms) - terms.count(1), top + 1)
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or n < 2:
+            raise ConstructionError(f"need n >= 2, got {n!r}")
+        self.n, self.terms, self.block_starts = n, list(range(1, n + 1)), [1]
+        self.branch_log: list[Branch] = []
+        self.cursors = (0, n - 1, n + 1)
 
     @property
     def blocks(self) -> int:
@@ -88,27 +84,22 @@ class ConstructionState:
         return self.cursors[2]
 
     def clone(self) -> "ConstructionState":
-        twin = object.__new__(ConstructionState)  # skips __init__: the terms were checked
+        twin = object.__new__(ConstructionState)  # skips __init__, which builds the seed
         twin.n, twin.cursors = self.n, self.cursors
         twin.terms, twin.block_starts = list(self.terms), list(self.block_starts)
         twin.branch_log = list(self.branch_log)
         return twin
 
 
-def init_ramp(n: int) -> ConstructionState:
-    """Start a construction from the ramp seed (1, 2, ..., n)."""
-    if not isinstance(n, int) or n < 2:
-        raise ConstructionError(f"need n >= 2, got {n!r}")
-    return ConstructionState(n, list(range(1, n + 1)), [1])
+init_ramp = ConstructionState
 
 
 def extend_second_block(state: ConstructionState) -> ConstructionState:
     """Write the forced second block (1, n+1, 2, n+2, ..., n-1, 2n-1, n)."""
-    n = state.n
-    if state.blocks != 1 or state.terms != list(range(1, n + 1)):
+    if state.blocks != 1:
         raise ConstructionError("second block can only follow the bare seed")
     state.terms.append(1)  # the seed's closing 1, a repeat; the rest is forced
-    state.block_starts.append(n + 1)
+    state.block_starts.append(state.n + 1)
     upper, lower, fresh = state.cursors
     state.cursors = (upper + 1, lower, fresh)
     _grow(state, None)
@@ -267,20 +258,17 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
 # seam merge; at a fork a run is cloned before the forked term.
 
 
-BranchSpec = Union[None, Branch, Sequence[Branch]]
+BranchSpec = Optional[Sequence[Branch]]
 
 
 def _branch_feed(branches: BranchSpec) -> Iterator[tuple[Branch, ...]]:
     """Turn a branch policy into a per-fork stream of one-choice tuples.
 
-    None defaults every fork to ONE_FIRST; a single Branch repeats; an
-    explicit sequence is consumed in fork order and must cover every
-    fork encountered.
+    None defaults every fork to ONE_FIRST; a sequence is consumed in
+    fork order and must cover every fork encountered.
     """
     if branches is None:
-        branches = Branch.ONE_FIRST
-    if isinstance(branches, Branch):
-        return repeat((branches,))
+        return repeat((Branch.ONE_FIRST,))
     return ((b,) for b in branches)
 
 

@@ -25,7 +25,7 @@ from typing import AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConstructionError(ValueError):
-    """A construction step was invalid or produced a non-fractal prefix."""
+    """A construction request or step was invalid."""
 
 
 class AnnotatedTerm(NamedTuple):

@@ -33,10 +33,13 @@ def ramp4_after(step):
 # --- seeding and the second block ------------------------------------------
 
 def test_init_ramp():
-    state = init_ramp(4)
-    assert state.terms == [1, 2, 3, 4]
-    assert state.fresh == 5
-    assert state.block_starts == [1]
+    for n in range(2, 10):
+        state = init_ramp(n)
+        assert state.terms == list(range(1, n + 1))
+        assert state.fresh == n + 1
+        assert state.block_starts == [1]
+        assert state.branch_log == []
+        assert_cursors_are_the_trim_lengths(state)
 
 
 def test_init_ramp_minimal():
@@ -288,14 +291,6 @@ def test_construct_rejects_exhausted_branch_list():
         construct_ramp_state(4, 5, [ONE])
 
 
-def test_fixed_branch_policy_repeats():
-    # Fork count depends on the path taken: all-fresh forks three times
-    # within five blocks, while the (one, fresh) path forks only twice.
-    by_policy = construct_ramp_state(4, 5, FRESH).terms
-    explicit = construct_ramp_state(4, 5, [FRESH, FRESH, FRESH]).terms
-    assert by_policy == explicit
-
-
 def test_every_step_stays_doubly_fractal():
     rng = random.Random(424242)
     for _ in range(40):
@@ -314,7 +309,7 @@ def test_every_step_stays_doubly_fractal():
 def test_part_recurrence():
     # Global first occurrences removed, the survivors inside the segment
     # between consecutive occurrences of n reproduce the previous segment.
-    for n, blocks, branches in [(4, 5, RAMP4_BRANCHES), (3, 6, ONE), (2, 7, FRESH)]:
+    for n, blocks, branches in [(4, 5, RAMP4_BRANCHES), (3, 6, [ONE] * 6), (2, 7, [FRESH] * 7)]:
         terms = construct_ramp_state(n, blocks, branches).terms
         seen = set()
         survivor = [False] * len(terms)
@@ -458,6 +453,7 @@ def assert_cursors_are_the_trim_lengths(state):
     terms = state.terms
     want = (len(upper_trim(terms)), len(lower_trim(terms)), max(terms) + 1)
     assert state.cursors == want, (state.n, state.blocks)
+    assert state.block_starts == [i for i, t in enumerate(terms, 1) if t == 1]
 
 
 def test_cursors_are_the_trim_lengths_after_every_block():
@@ -483,7 +479,7 @@ def test_cursors_are_the_trim_lengths_after_every_block():
 def test_dead_end_is_refused():
     # Cursors set by hand: upper trimming asks for 2 and lower trimming
     # for 3, which is taken, so no term can follow.
-    state = ConstructionState(3, [1, 2, 3], [1])
+    state = init_ramp(3)
     state.cursors = (1, 1, 4)
     with pytest.raises(ConstructionError, match="no term can follow term 3: "
                                                 "upper trimming asks for 2, lower trimming for 3"):
@@ -491,24 +487,18 @@ def test_dead_end_is_refused():
 
 
 def test_step_given_a_branch_refuses_a_second_fork():
-    # From [1], fresh values each follow a fork until the block closes at n.
-    state = ConstructionState(4, [1], [1])
-    with pytest.raises(ConstructionError, match="a step forks twice, at term 3"):
+    # Cursors set by hand, as if after [1]: upper trimming asks for 1 and
+    # lower trimming for the fresh value at every term, so each term forks.
+    state = init_ramp(4)
+    state.cursors = (0, 0, 2)
+    with pytest.raises(ConstructionError, match="a step forks twice, at term 6"):
         construction._grow(state, FRESH)
 
 
-def test_state_refuses_a_failing_prefix():
-    with pytest.raises(ConstructionError, match="terms are not a doubly fractal prefix"):
-        ConstructionState(3, [1, 2, 1, 3, 3], [1, 3])
-    with pytest.raises(ConstructionError):
-        ConstructionState(3, [1, 3], [1])  # a gap: 3 before any 2
-
-
-def test_state_takes_no_fresh_argument():
-    # fresh is derived from the terms; an old positional fresh must not
-    # be bound to branch_log.
+def test_state_is_built_from_its_seed_alone():
+    # No terms, block starts or fresh value can be passed in.
     with pytest.raises(TypeError):
-        ConstructionState(3, [1, 2, 3], [1], 4)
+        ConstructionState(3, [1, 2, 3], [1])
     with pytest.raises(AttributeError):
         init_ramp(3).fresh = 5
 
@@ -525,7 +515,7 @@ def test_growing_a_clone_leaves_the_original_unchanged():
     def snapshot(s):
         return list(s.terms), list(s.block_starts), list(s.branch_log), s.cursors
 
-    state = construct_ramp_state(5, 6, FRESH)
+    state = construct_ramp_state(5, 6, [FRESH] * 6)
     while construction._grow(state, None):
         pass
     before = snapshot(state)
@@ -609,7 +599,7 @@ def test_ones_equals_rank_stream_of_source_at_scale():
     length = 10_000
     xs = state.terms[:length]
     expected = [xs[:h + 1].count(xs[h]) for h in range(length)]
-    assert construct_ones(3, length, ONE) == expected
+    assert construct_ones(3, length, [ONE] * length) == expected
     assert rank_stream(state.terms[:length]) == expected
 
 

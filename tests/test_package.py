@@ -76,7 +76,7 @@ def test_surd_survives_copy_and_pickle():
 
 
 def test_construction_state_defaults_are_fresh():
-    a, b = (ConstructionState(2, [1, 2], [1]) for _ in range(2))
+    a, b = (ConstructionState(2) for _ in range(2))
     assert a.branch_log == [] and a.branch_log is not b.branch_log
     assert a.cursors == (0, 1, 3) and a.fresh == 3
     with pytest.raises(AttributeError):

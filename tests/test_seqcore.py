@@ -250,7 +250,7 @@ def test_incremental_checker_agrees_on_small_lists(seq, chunks):
 
 # Random lists rarely pass for long, so also feed a passing run with at
 # most one term changed.
-PASSING_RUN = construct_ramp_state(4, 11, Branch.FRESH_FIRST).terms[:200]
+PASSING_RUN = construct_ramp_state(4, 11, [Branch.FRESH_FIRST] * 11).terms[:200]
 
 
 @given(st.integers(0, len(PASSING_RUN) - 1), st.integers(1, 12),
