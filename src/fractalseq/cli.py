@@ -6,9 +6,9 @@ alike, as ASCII whitespace-separated integers and written one per line, so
 ``check``, ``invert`` and ``trim`` read the input as bytes and fold over
 it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
 per slice, so none of them holds a list of every term.  ``trim`` writes
-as it goes only when a scan of the bytes has shown that no slice can
-fail to parse; otherwise it parses everything first, so that an error
-leaves stdout empty.
+as it goes; unless a scan of the bytes has shown that no slice can fail
+to parse, it first parses every slice once without writing, so that an
+error leaves stdout empty.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
 PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
@@ -162,14 +162,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_trim(args) -> int:
     data = _read_input(args.input)
-    if _parses_cleanly(data):
-        slices = _parsed_slices(data)
-    else:  # such as '+5' or '007': parse all of it before writing anything
-        slices = [parse_terms(data.decode("ascii"))]
+    if not _parses_cleanly(data):  # such as '+5' or '007': raise any error before writing
+        for _ in _parsed_slices(data):
+            pass
     seen: set[int] = set()
     _emit(chain.from_iterable(
         [f"{t}\n" for t in (upper_trim(terms, seen) if args.upper else lower_trim(terms))]
-        for terms in slices))
+        for terms in _parsed_slices(data)))
     return 0
 
 
@@ -209,13 +208,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    terms = chain.from_iterable(_parsed_slices(_read_input(args.input)))
-    first = next(terms, None)
-    if first is None:
-        raise ValueError("cannot invert an empty sequence")
     # The package's binding: the tracer wraps this module's name for lists only.
     fold = __getattr__("theta_interval_from_prefix")
-    interval = fold(chain((first,), terms))
+    interval = fold(chain.from_iterable(_parsed_slices(_read_input(args.input))))
     print(interval)
     if args.expect_nonempty and interval.is_empty:
         return 1

@@ -149,7 +149,7 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
             break
         s1, a1 = s2, a2
     if not counts:
-        raise ValueError("prefix must be nonempty")
+        raise ValueError("cannot invert an empty sequence")
     if min(counts) < 1 or min(terms, default=1) < 1:
         raise ValueError("terms must be >= 1")
     if empty:

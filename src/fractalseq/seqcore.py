@@ -13,15 +13,15 @@ the self-similarity property.  ``check_doubly_fractal_prefix`` builds
 both trims of a list and is the oracle; ``PrefixChecker`` folds over a
 sequence handed in slices and gives the same report.
 
-Term input is cut into slices of about ``_SLICE_CHARS`` characters, each
-ending at whitespace, so that a caller can parse and fold over one slice
-at a time.
+Term input is cut, as ASCII bytes, into slices of about ``_SLICE_CHARS``
+bytes, each ending at whitespace (``term_slices``), so that a caller can
+parse one slice at a time with ``parse_terms`` and fold over it.
 """
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConstructionError(ValueError):
@@ -220,44 +220,35 @@ class PrefixChecker:
 
 
 _SLICE_CHARS = 1 << 14  # tokens of one slice take about 0.2 MB; 64 Ki held 1 MB more
-# Exactly the characters str.isspace() is true of, which split() cuts at;
-# a search runs in C, so a huge token costs no loop in Python.
-_SPACE = re.compile(r"\s")
-# The same characters in ASCII; a bytes \s leaves out \x1c-\x1f.  The
-# pattern is compiled on first use, which spares a command that reads no
-# input about 0.15 ms of start-up.
+# Exactly the ASCII characters str.isspace() is true of, which split() cuts
+# at; a bytes \s leaves out \x1c-\x1f.  A search runs in C, so a huge token
+# costs no loop in Python.  The pattern is compiled on first use, which
+# spares a command that reads no input about 0.15 ms of start-up.
 ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _SPACE_BYTES = b"[" + re.escape(ASCII_SPACE) + b"]"
 
 
-def term_slices(text: AnyStr) -> Iterator[AnyStr]:
-    """Cut a str, or ASCII bytes, into pieces of about ``_SLICE_CHARS``
-    characters, each ending at whitespace, so no token is split."""
-    space = _SPACE if isinstance(text, str) else re.compile(_SPACE_BYTES)
+def term_slices(data: bytes) -> Iterator[bytes]:
+    """Cut ASCII bytes into pieces of about ``_SLICE_CHARS`` bytes, each
+    ending at whitespace, so no token is split."""
+    space = re.compile(_SPACE_BYTES)
     start = 0
-    while start < len(text):
-        cut = space.search(text, start + _SLICE_CHARS)
-        end = cut.end() if cut else len(text)
-        yield text[start:end]
+    while start < len(data):
+        cut = space.search(data, start + _SLICE_CHARS)
+        end = cut.end() if cut else len(data)
+        yield data[start:end]
         start = end
 
 
 def parse_terms(text: str) -> list[int]:
     """Parse ASCII decimal integers separated by whitespace or newlines.
 
-    The text is parsed slice by slice (:func:`term_slices`), so only one
-    slice's tokens are alive at a time.
+    The whole text is parsed at once; to hold one slice's tokens at a
+    time, decode and parse each piece of :func:`term_slices` in turn.
     """
-    out: list[int] = []
-    for part in term_slices(text):
-        out += _parse_slice(part)
-    return out
-
-
-def _parse_slice(part: str) -> list[int]:
-    if part.isascii() and "_" not in part:  # int() also reads '1_0' and non-ASCII digits
+    if text.isascii() and "_" not in text:  # int() also reads '1_0' and non-ASCII digits
         try:
-            values = list(map(int, part.split()))
+            values = list(map(int, text.split()))
         except ValueError:
             pass
         else:
@@ -265,7 +256,7 @@ def _parse_slice(part: str) -> list[int]:
                 return values
     # Token by token, so that the error names the first bad token.
     out = []
-    for tok in part.split():
+    for tok in text.split():
         try:
             if not tok.isascii() or "_" in tok:
                 raise ValueError

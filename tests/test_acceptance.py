@@ -84,7 +84,7 @@ def test_criterion_05_oracle_equivalence(theta_sample):
         assert generate_signature(theta, 2000) == brute_force_signature(theta, 2000), theta
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"took {elapsed:.1f}s"
-    _report("05 heap generator == brute-force oracle, 50 thetas x 2000",
+    _report("05 block generator == brute-force oracle, 50 thetas x 2000",
             f"({elapsed:.1f} s)")
 
 

@@ -557,12 +557,19 @@ def sqrt13_400k():
     return "".join(f"{v}\n" for v in islice(values, 400_000)).encode()
 
 
-@pytest.mark.parametrize("argv", [["check"], ["invert"], ["trim", "--lower"]], ids=" ".join)
-def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv):
+@pytest.mark.parametrize("argv, lead", [
+    pytest.param(["check"], b"", id="check"),
+    pytest.param(["invert"], b"", id="invert"),
+    pytest.param(["trim", "--lower"], b"", id="trim --lower"),
+    # A leading '+' fails the byte scan, so trim parses every slice before writing.
+    pytest.param(["trim", "--upper"], b"+", id="+ trim --upper"),
+    pytest.param(["trim", "--lower"], b"+", id="+ trim --lower"),
+])
+def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv, lead):
     monkeypatch.setattr(sys, "stdout", Discard())
     monkeypatch.setattr(sys, "stdin", stdin_bytes("1 2 3 4 1 5\n"))
     main(argv)  # loads the modules before anything is traced
-    monkeypatch.setattr(sys, "stdin", stdin_bytes(sqrt13_400k))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(lead + sqrt13_400k))
     tracemalloc.start()
     try:
         assert main(argv) == 0

@@ -194,7 +194,7 @@ def test_iterator_form_reads_to_the_end():
     assert next(rest, None) is None
     with pytest.raises(ValueError, match="^terms must be >= 1$"):
         theta_interval_from_prefix(iter([1, 3, 1, 0]))
-    with pytest.raises(ValueError, match="^prefix must be nonempty$"):
+    with pytest.raises(ValueError, match="^cannot invert an empty sequence$"):
         theta_interval_from_prefix(iter([]))
 
 

@@ -1,12 +1,10 @@
 import random
 import re
-import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fractalseq import (AnnotatedTerm, Branch, Surd, annotate_ranks,
+from fractalseq import (AnnotatedTerm, Branch, annotate_ranks,
                         check_doubly_fractal_prefix, construct_ramp_state,
                         generate_signature, lower_trim, parse_terms, parse_theta,
                         rank_stream, upper_trim)
@@ -391,11 +389,6 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
-def test_slices_are_cut_at_what_split_takes_as_whitespace():
-    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert seqcore._SPACE.findall(every_char) == [c for c in every_char if c.isspace()]
-
-
 def test_byte_slices_are_cut_at_what_split_takes_as_whitespace():
     every_byte = bytes(range(128))
     spaces = bytes(c for c in every_byte if chr(c).isspace())
@@ -415,13 +408,10 @@ term_tokens = st.one_of(
 spaces = st.text(st.sampled_from(" \t\n\x0b\x1c\x1d\x1e\x1f\u00a0"), max_size=3)
 
 
-@given(spaces, st.lists(st.tuples(term_tokens, spaces.filter(bool))), spaces, st.integers(1, 8))
-def test_sliced_parse_matches_tokenwise_oracle(lead, pairs, trail, slice_chars):
+@given(spaces, st.lists(st.tuples(term_tokens, spaces.filter(bool))), spaces)
+def test_parse_terms_matches_tokenwise_oracle(lead, pairs, trail):
     text = lead + "".join(tok + sep for tok, sep in pairs).rstrip() + trail
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqcore, "_SLICE_CHARS", slice_chars)
-        got = parse_outcome(parse_terms, text)
-    assert got == parse_outcome(tokenwise_parse_terms, text)
+    assert parse_outcome(parse_terms, text) == parse_outcome(tokenwise_parse_terms, text)
 
 
 @given(spaces, st.lists(st.tuples(term_tokens, spaces.filter(bool))), spaces, st.integers(1, 8))
@@ -436,15 +426,3 @@ def test_byte_slices_parse_as_the_whole_text(lead, pairs, trail, slice_chars):
         got = parse_outcome(lambda _: [t for p in parts for t in parse_terms(p.decode())], text)
     assert b"".join(parts) == data
     assert got == parse_outcome(tokenwise_parse_terms, text)
-
-
-def test_parse_terms_holds_one_slice_of_tokens():
-    text = "".join(f"{v}\n" for v, _ in generate_signature(Surd.sqrt(13), 10 ** 5))
-    tracemalloc.start()
-    try:
-        terms = parse_terms(text)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(terms) == 10 ** 5
-    assert peak < 2 * held  # splitting the whole text at once peaks near 3.7x
