@@ -11,7 +11,9 @@ is pointwise.  The doubly-fractal checker therefore tests "trim(s) is a
 prefix of s" rather than equality, which is the correct finite form of
 the self-similarity property.  ``check_doubly_fractal_prefix`` builds
 both trims of a list and is the oracle; ``PrefixChecker`` folds over a
-sequence handed in slices and gives the same report.
+sequence handed in slices, comparing each slice's ``upper_trim`` and
+``lower_trim`` with the terms it has kept.  The two share the prefix
+comparison ``_prefix_mismatch`` and the report builder ``_report``.
 
 Term input is cut, as ASCII bytes, into slices of about ``_SLICE_CHARS``
 bytes, each ending at whitespace (``term_slices``), so that a caller can
@@ -120,10 +122,20 @@ class FractalCheck(NamedTuple):
 
 
 def _prefix_mismatch(trimmed: list[int], original: list[int]) -> Optional[int]:
+    """The 1-based position where ``trimmed`` first departs from
+    ``original``, or None when it is a prefix of it."""
+    if trimmed == original[:len(trimmed)]:
+        return None
     for k, (a, b) in enumerate(zip(trimmed, original)):
         if a != b:
             return k + 1
     return None
+
+
+def _report(bad_upper: Optional[int], bad_lower: Optional[int]) -> FractalCheck:
+    """The report on each trim's first mismatch, None where it passes."""
+    return FractalCheck(bad_upper is None, bad_lower is None,
+                        min(filter(None, (bad_upper, bad_lower)), default=None))
 
 
 def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
@@ -135,27 +147,22 @@ def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
     seq = list(terms)
     if min(seq, default=1) < 1:
         raise ValueError("terms must be >= 1")
-    bad_upper = _prefix_mismatch(upper_trim(seq), seq)
-    bad_lower = _prefix_mismatch(lower_trim(seq), seq)
-    violations = [v for v in (bad_upper, bad_lower) if v is not None]
-    return FractalCheck(
-        upper_ok=bad_upper is None,
-        lower_ok=bad_lower is None,
-        first_violation_index=min(violations) if violations else None,
-    )
+    return _report(_prefix_mismatch(upper_trim(seq), seq),
+                   _prefix_mismatch(lower_trim(seq), seq))
 
 
 class PrefixChecker:
     """:func:`check_doubly_fractal_prefix` in one pass over a sequence
     handed to :meth:`feed` in consecutive slices.
 
-    The k-th repeated value must equal term k, and so must the k-th value
-    above 1, lowered by 1; ``up`` and ``low`` index term k for each trim.
-    Both lag the term that moves them, so ``window`` keeps only the terms
-    from the lagging cursor of a trim still passing onward, and ``base``
-    is the position of its first term.  A trim's first mismatch is final,
-    and once both trims have failed no term is kept.  Every slice must
-    hold terms >= 1, also after both trims have failed.
+    Each slice's :func:`upper_trim` (against the values ``seen`` so far)
+    and :func:`lower_trim` must match the terms at ``up`` and ``low``,
+    the cursors of the two trims.  Both lag the terms that move them, so
+    ``window`` keeps only the terms from the lagging cursor of a trim
+    still passing onward, and ``base`` is the position of its first
+    term.  A trim's first mismatch is final, and once both trims have
+    failed no term is kept.  Every slice must hold terms >= 1, also
+    after both trims have failed.
 
     >>> checker = PrefixChecker()
     >>> checker.feed([1, 2]), checker.feed([1, 3, 2, 4])
@@ -179,37 +186,27 @@ class PrefixChecker:
         """Check the next slice; True while both trims pass."""
         if min(part, default=1) < 1:
             raise ValueError("terms must be >= 1")
-        bad_up, bad_low = self.bad_up, self.bad_low
-        if bad_up is not None and bad_low is not None:
-            return False
-        seen, window, base, up, low = self.seen, self.window, self.base, self.up, self.low
+        window = self.window
         window += part
-        for t in part:
-            if bad_up is None:
-                if t in seen:
-                    if t != window[up]:
-                        bad_up = base + up + 1
-                    up += 1
-                else:
-                    seen.add(t)
-            if t > 1 and bad_low is None:
-                if t - 1 != window[low]:
-                    bad_low = base + low + 1
-                low += 1
-        drop = min(up if bad_up is None else len(window),
-                   low if bad_low is None else len(window))
+        if self.bad_up is None:
+            self.up, self.bad_up = self._match(upper_trim(part, self.seen), self.up)
+        if self.bad_low is None:
+            self.low, self.bad_low = self._match(lower_trim(part), self.low)
+        drop = min(self.up if self.bad_up is None else len(window),
+                   self.low if self.bad_low is None else len(window))
         del window[:drop]
-        self.base, self.up, self.low = base + drop, up - drop, low - drop
-        self.bad_up, self.bad_low = bad_up, bad_low
-        return bad_up is None and bad_low is None
+        self.base, self.up, self.low = self.base + drop, self.up - drop, self.low - drop
+        return self.bad_up is None and self.bad_low is None
+
+    def _match(self, trimmed: list[int], at: int) -> tuple[int, Optional[int]]:
+        """The cursor past ``trimmed`` laid at ``at``, and the position of
+        its first mismatch with the window, or None."""
+        k = _prefix_mismatch(trimmed, self.window[at:at + len(trimmed)])
+        return at + len(trimmed), None if k is None else self.base + at + k
 
     def report(self) -> FractalCheck:
         """The report on every term fed so far."""
-        return FractalCheck(
-            upper_ok=self.bad_up is None,
-            lower_ok=self.bad_low is None,
-            first_violation_index=min(filter(None, (self.bad_up, self.bad_low)), default=None),
-        )
+        return _report(self.bad_up, self.bad_low)
 
     def copy(self) -> "PrefixChecker":
         twin = PrefixChecker()

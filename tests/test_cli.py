@@ -676,6 +676,21 @@ def test_subprocess_entry_point(tmp_path):
     assert proc.stdout == "1\n2\n3\n4\n1\n"
 
 
+@pytest.mark.parametrize("argv", [["generate", "--theta", "sqrt(13)", "--count", "1000000"],
+                                  ["trim", "--upper"]], ids=" ".join)
+def test_a_closed_pipe_ends_the_output_quietly(tmp_path, sqrt13_400k, argv):
+    # As `... | head -c 10`: both commands write far more than a pipe holds.
+    terms = tmp_path / "terms.txt"
+    terms.write_bytes(sqrt13_400k)
+    with open(terms, "rb") as stdin:
+        proc = subprocess.Popen([sys.executable, "-m", "fractalseq", *argv], stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 # --- lazy loading ------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]

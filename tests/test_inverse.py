@@ -233,6 +233,8 @@ def test_subset_relation():
     assert EMPTY_INTERVAL.is_subset_of(closed(1, 2))
     assert not closed(1, 2).is_subset_of(EMPTY_INTERVAL)
     assert closed(1, 2).is_subset_of(ThetaInterval(Fraction(1), True, None, False))
+    assert not ThetaInterval(Fraction(1), True, None, False).is_subset_of(
+        ThetaInterval(Fraction(0), False, Fraction(5), True))
 
 
 def test_interval_str():
@@ -257,6 +259,8 @@ def test_seed_interval_ones():
 def test_seed_interval_rejects_small_n():
     with pytest.raises(ValueError):
         seed_interval(1, SegmentKind.RAMP)
+    with pytest.raises(ValueError, match="no seed interval"):
+        seed_interval(3, "ramp")
 
 
 def test_seed_interval_matches_prefix_recovery():
@@ -434,6 +438,8 @@ def test_divergence_rejects_equal_parameters():
         first_divergence(Fraction(3, 2), Fraction(3, 2), 100)
     with pytest.raises(ValueError):
         first_divergence(SQRT13, Surd.sqrt(13), 100)
+    with pytest.raises(ValueError, match="max_terms must be >= 1"):
+        first_divergence(1, 2, 0)
 
 
 def test_divergence_sampled_pairs():

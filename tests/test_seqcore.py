@@ -176,6 +176,23 @@ def fold(slices):
     return checker.report()
 
 
+def from_the_definition(s):
+    """The doubly-fractal prefix test written from the definition, sharing
+    no code with the checkers: (upper_ok, lower_ok, first violation)."""
+    upper = [s[i] for i in range(len(s)) if s[i] in s[:i]]
+    lower = [s[i] - 1 for i in range(len(s)) if s[i] > 1]
+    firsts = []
+    for trimmed in (upper, lower):
+        first = None
+        for i in range(len(trimmed)):
+            if trimmed[i] != s[i]:
+                first = i + 1
+                break
+        firsts.append(first)
+    bad = [i for i in firsts if i is not None]
+    return (firsts[0] is None, firsts[1] is None, min(bad) if bad else None)
+
+
 def cut_at(seq, sizes):
     """``seq`` cut into consecutive slices of the given sizes, then the rest."""
     out, at = [], 0
@@ -188,14 +205,17 @@ def cut_at(seq, sizes):
 @given(st.lists(st.integers(1, 6) | st.integers(min_value=1), max_size=60),
        st.lists(st.integers(0, 8), max_size=30))
 def test_sliced_check_matches_full_checker_on_small_lists(seq, sizes):
-    assert fold(cut_at(seq, sizes)) == check_doubly_fractal_prefix(seq)
+    report = fold(cut_at(seq, sizes))
+    assert report == check_doubly_fractal_prefix(seq)
+    assert report == from_the_definition(seq)
 
 
 SIGNATURES = [[t.value for t in generate_signature(parse_theta(text), 3000)]
               for text in ("sqrt(13)", "22/7", "1/3", "(1+sqrt(5))/2", "2/5")]
 
 
-@given(st.sampled_from(SIGNATURES), st.integers(1, 3000), st.sampled_from(["", "swap", "bump"]),
+@given(st.sampled_from(SIGNATURES), st.integers(1, 3000),
+       st.sampled_from(["", "swap", "bump", "relabel"]),
        st.integers(0, 2999), st.lists(st.integers(0, 500), max_size=12))
 def test_sliced_check_matches_full_checker_on_signatures(values, n, fault, at, sizes):
     seq, k = values[:n], at % n
@@ -203,9 +223,13 @@ def test_sliced_check_matches_full_checker_on_signatures(values, n, fault, at, s
         seq[k], seq[k + 1] = seq[k + 1], seq[k]
     elif fault == "bump":
         seq[k] += -1 if seq[k] > 1 and at % 2 else 1
+    elif fault == "relabel":  # v -> 2v-1 keeps the upper trim and breaks the lower
+        seq = [2 * v - 1 for v in seq]
     report = fold(cut_at(seq, sizes))
     assert report == check_doubly_fractal_prefix(seq)
+    assert report == from_the_definition(seq)
     assert report.ok or fault
+    assert report.upper_ok or fault != "relabel"
 
 
 def test_sliced_check_finds_the_first_violation_of_a_long_run():

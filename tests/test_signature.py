@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
                         generate_signature, parse_theta, signature_runs)
-from fractalseq.signature import compare_with_rational, surd_sign
+from fractalseq.signature import as_exact, compare_with_rational, surd_sign
 
 from conftest import make_theta_sample
 from fixtures import ONE_SEVENTH_PREFIX, SQRT13_PREFIX
@@ -22,6 +22,7 @@ SQRT13 = Surd.sqrt(13)
 def test_sqrt_of_square_collapses_to_fraction():
     assert Surd.make(0, 1, 4) == Fraction(2)
     assert Surd.make(1, 2, 9, 2) == Fraction(7, 2)
+    assert Surd.make(3, 0, 7, 6) == Fraction(1, 2)
 
 
 def test_square_factor_extraction():
@@ -102,6 +103,10 @@ def test_raw_constructor_rejects_non_normal_forms():
         Surd(2, 2, 5, 4)   # common factor
     with pytest.raises(ValueError):
         Surd(0, 1, 5, 0)   # zero denominator
+    with pytest.raises(ZeroDivisionError):
+        Surd.make(1, 1, 2, 0)
+    with pytest.raises(ValueError, match="negative radicand"):
+        Surd.make(0, 1, -3)
 
 
 def test_surd_sign_cases():
@@ -214,6 +219,10 @@ def test_generate_rejects_bad_inputs():
         generate_signature(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         generate_signature(Surd.make(1, -1, 2), 5)  # 1 - sqrt(2) < 0
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        generate_signature(SQRT13, 0)
+    with pytest.raises(TypeError):
+        as_exact(1.5)
 
 
 def test_brute_force_minimum_element():
