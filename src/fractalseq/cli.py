@@ -6,9 +6,8 @@ alike, as ASCII whitespace-separated integers and written one per line, so
 ``check``, ``invert`` and ``trim`` read the input as bytes and fold over
 it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
 per slice, so none of them holds a list of every term.  ``trim`` writes
-as it goes; unless a scan of the bytes has shown that no slice can fail
-to parse, it first parses every slice once without writing, so that an
-error leaves stdout empty.
+as it goes; it first parses, without writing, each slice that a scan of
+its bytes cannot clear, so that an error leaves stdout empty.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
 PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
@@ -20,11 +19,11 @@ error (any other ``ValueError``: malformed theta, bad counts, unreadable
 input, output above the ``FRACTALSEQ_MAX_TERMS`` cap).
 
 Only ``seqcore`` loads eagerly, as a command is mostly interpreter
-start-up.  ``main`` binds a command's names from ``_COMMAND_NAMES`` just
-before it runs it and keeps a name already bound: perfbench/tracer.py
-reads them through the module ``__getattr__`` and rebinds them first.
-The tracer's wrappers take lists, so a fold over slices is handed to the
-package's own binding of a name instead.
+start-up.  Handlers read names from ``signature``, ``construction`` and
+``inverse`` as attributes of this module (``_cli.parse_theta``): a name
+bound here is the one called, and an unbound one comes from the module
+``__getattr__``, which serves exactly the package's ``__all__`` and loads
+a name's module on first use.
 """
 from __future__ import annotations
 
@@ -34,25 +33,16 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
-# check_doubly_fractal_prefix is here only for the tracer.
-from .seqcore import (ASCII_SPACE, ConstructionError, PrefixChecker,
-                      check_doubly_fractal_prefix, lower_trim, parse_terms, rank_stream,
-                      term_slices, upper_trim)
+from .seqcore import (ASCII_SPACE, ConstructionError, PrefixChecker, lower_trim,
+                      parse_terms, rank_stream, term_slices, upper_trim)
 
-# What each command takes from construction, inverse and signature;
-# generate_signature, construct_ones and theta_interval_from_prefix are
-# here only for the tracer.
-_COMMAND_NAMES = {
-    "generate": ("generate_signature", "parse_theta", "signature_runs"),
-    "construct": ("Branch", "construct_ones", "construct_ramp_state", "enumerate_ramp"),
-    "invert": ("theta_interval_from_prefix",),
-    "diverge": ("first_divergence", "parse_theta"),
-}
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _COMMAND_NAMES.values()):
-        return getattr(sys.modules[__package__], name)  # loads the module on first use
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)  # loads the module on first use
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -108,7 +98,7 @@ _DIGIT_BLOCK = 320
 
 def _parses_cleanly(data: bytes) -> bool:
     """True when every token is a digit 1-9 and fewer than 639 more digits,
-    so that no slice of ``data`` can fail to parse.  Each scan runs in C;
+    so that ``data`` cannot fail to parse.  Each scan runs in C;
     the block test makes one call per block."""
     return (not data.translate(None, b"0123456789" + ASCII_SPACE)
             and not data.startswith(b"0")
@@ -125,7 +115,7 @@ def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:
         tok = tok.strip()
         if tok not in ("0", "1"):
             raise ValueError(f"branch bits must be 0 or 1, got {tok!r}")
-        out.append(Branch(int(tok)))
+        out.append(_cli.Branch(int(tok)))
     return out
 
 
@@ -146,7 +136,7 @@ def _emit(lines: Iterable[str]) -> None:
 
 def _cmd_generate(args) -> int:
     _require_within_cap(args.count, "count")
-    runs = signature_runs(parse_theta(args.theta))
+    runs = _cli.signature_runs(_cli.parse_theta(args.theta))
     terms = islice(chain.from_iterable(zip(v, r) for v, r in runs), args.count)
     if args.json:
         _emit(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
@@ -162,9 +152,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_trim(args) -> int:
     data = _read_input(args.input)
-    if not _parses_cleanly(data):  # such as '+5' or '007': raise any error before writing
-        for _ in _parsed_slices(data):
-            pass
+    for part in term_slices(data):  # such as '+5' or '007': raise any error before writing
+        if not _parses_cleanly(part):
+            parse_terms(part.decode("ascii"))
     seen: set[int] = set()
     _emit(chain.from_iterable(
         [f"{t}\n" for t in (upper_trim(terms, seen) if args.upper else lower_trim(terms))]
@@ -193,14 +183,14 @@ def _cmd_construct(args) -> int:
                         f"--n {args.n} and --blocks {args.blocks}: least run length")
 
     if args.enumerate:
-        rows = enumerate_ramp(args.n, args.blocks)
+        rows = _cli.enumerate_ramp(args.n, args.blocks)
         _require_within_cap(sum(len(terms) for _, terms in rows), "--enumerate: total length")
         if args.type2:
             rows = ((log, rank_stream(terms)) for log, terms in rows)
         _emit(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}\n" for log, terms in rows)
         return 0
 
-    terms = construct_ramp_state(args.n, args.blocks, branches).terms
+    terms = _cli.construct_ramp_state(args.n, args.blocks, branches).terms
     if args.type2:
         terms = rank_stream(terms)
     _emit(f"{t}\n" for t in terms)
@@ -208,9 +198,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    # The package's binding: the tracer wraps this module's name for lists only.
-    fold = __getattr__("theta_interval_from_prefix")
-    interval = fold(chain.from_iterable(_parsed_slices(_read_input(args.input))))
+    # The fold takes an iterator, and a name rebound on this module may take lists only.
+    from .inverse import theta_interval_from_prefix
+    interval = theta_interval_from_prefix(
+        chain.from_iterable(_parsed_slices(_read_input(args.input))))
     print(interval)
     if args.expect_nonempty and interval.is_empty:
         return 1
@@ -219,7 +210,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_diverge(args) -> int:
     _require_within_cap(args.max, "--max")
-    index = first_divergence(parse_theta(args.theta1), parse_theta(args.theta2), args.max)
+    index = _cli.first_divergence(_cli.parse_theta(args.theta1), _cli.parse_theta(args.theta2),
+                                  args.max)
     print(index if index is not None else "NONE")
     return 0
 
@@ -295,8 +287,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    for name in _COMMAND_NAMES.get(args.command, ()):
-        globals().setdefault(name, __getattr__(name))  # keeps a traced rebinding
     try:
         return args.func(args)
     except ConstructionError as exc:

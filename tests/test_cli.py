@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fractalseq
 from fractalseq import (check_doubly_fractal_prefix, construct_ramp_state, enumerate_ramp,
                         generate_signature, lower_trim, parse_terms, parse_theta, rank_stream,
                         signature_runs, theta_interval_from_prefix, upper_trim)
@@ -539,6 +540,25 @@ def test_only_input_that_cannot_fail_is_written_as_it_is_parsed(data, clean):
     assert cli._parses_cleanly(data) is clean
 
 
+@pytest.mark.parametrize("which", ["--upper", "--lower"])
+def test_trim_parses_again_only_the_slices_the_scan_flags(capsys, monkeypatch, which):
+    monkeypatch.setattr(seqcore, "_SLICE_CHARS", 16)
+    argv, text = ["trim", which], "+" + "".join(PLAIN_10K[:300])
+    k = len(list(seqcore.term_slices(text.encode())))
+    real, calls = cli.parse_terms, []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_terms", counting)
+    assert run_cli(capsys, monkeypatch, argv, text) == (0, list_oracle(argv, text), "")
+    assert k > 10 and len(calls) == k + 1
+    # Only the first slice is flagged, yet a bad token in a later one still writes nothing.
+    assert run_cli(capsys, monkeypatch, argv, text + "x\n1\n") == (
+        2, "", "error: not an integer: 'x'\n")
+
+
 @pytest.mark.parametrize("argv", FOLDED, ids=" ".join)
 def test_small_slices_change_no_output(capsys, monkeypatch, argv):
     text = "".join(PLAIN_10K[:2000])
@@ -718,6 +738,8 @@ def test_tracer_reads_every_cli_name_before_main():
     ("parse_terms", ["check"], "1 2 1 3\n"),
     ("upper_trim", ["trim", "--upper"], "1 2 1 3\n"),
     ("lower_trim", ["trim", "--lower"], "1 2 1 3\n"),
+    ("enumerate_ramp", ["construct", "--n", "3", "--blocks", "4", "--enumerate"], ""),
+    ("Branch", ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1"], ""),
 ])
 def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
     real, calls = getattr(cli, name), []
@@ -729,6 +751,22 @@ def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
     monkeypatch.setattr(cli, name, counting)
     code, _, err = run_cli(capsys, monkeypatch, argv, stdin)
     assert (code, err) == (0, "") and calls
+
+
+def test_invert_folds_past_a_name_rebound_for_lists(capsys, monkeypatch):
+    def takes_a_list(terms):
+        len(terms)
+        return theta_interval_from_prefix(terms)
+
+    monkeypatch.setattr(cli, "theta_interval_from_prefix", takes_a_list)
+    assert run_cli(capsys, monkeypatch, ["invert"], "1 2 3 4 1 5\n") == (0, "[3, 4]\n", "")
+
+
+def test_cli_serves_exactly_the_public_names():
+    assert all(getattr(cli, name) is getattr(fractalseq, name) for name in fractalseq.__all__)
+    for name in ("no_such_name", "__path__", "_MODULE_OF", "import_module"):
+        with pytest.raises(AttributeError, match="fractalseq.cli"):
+            getattr(cli, name)
 
 
 LOADED_BY = """

@@ -221,6 +221,8 @@ def test_generate_rejects_bad_inputs():
         generate_signature(Surd.make(1, -1, 2), 5)  # 1 - sqrt(2) < 0
     with pytest.raises(ValueError, match="n_terms must be >= 1"):
         generate_signature(SQRT13, 0)
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        brute_force_signature(SQRT13, 0)
     with pytest.raises(TypeError):
         as_exact(1.5)
 
