@@ -12,12 +12,12 @@ _MODULE_OF = {name: module for module, names in {
     "construction": """Branch ConstructionState SeamMerge construct_ones construct_ramp_state
         enumerate_ramp extend_next_block extend_second_block init_ramp merge_seams
         needs_branch seam_above seam_below""",
-    "inverse": """EMPTY_INTERVAL ThetaInterval first_divergence seed_interval
+    "inverse": """EMPTY_INTERVAL SegmentKind ThetaInterval seed_interval
         theta_interval_from_prefix""",
-    "seqcore": """AnnotatedTerm ConstructionError FractalCheck SegmentKind annotate_ranks
+    "seqcore": """AnnotatedTerm ConstructionError FractalCheck annotate_ranks
         check_doubly_fractal_prefix lower_trim parse_terms rank_stream upper_trim""",
-    "signature": """ExactNumber Surd brute_force_signature compare_affine generate_signature
-        parse_theta signature_runs""",
+    "signature": """ExactNumber Surd brute_force_signature compare_affine first_divergence
+        generate_signature parse_theta signature_runs""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

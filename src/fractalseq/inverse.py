@@ -1,4 +1,4 @@
-"""Recovering the parameters consistent with a sequence prefix.
+"""Intervals of the parameters consistent with a sequence prefix.
 
 A prefix p of length N is the start of the signature of theta exactly
 when, after annotating occurrence ranks, two families of linear
@@ -28,13 +28,12 @@ not the bound flag, is the arbiter at endpoints.
 """
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional
 
 # annotate_ranks is unused here; perfbench/tracer.py looks up inverse.annotate_ranks.
-from .seqcore import SegmentKind, annotate_ranks
-from .signature import as_exact, compare_with_rational, signature_runs
+from .seqcore import annotate_ranks
 
 
 class ThetaInterval(NamedTuple):
@@ -63,6 +62,8 @@ class ThetaInterval(NamedTuple):
 
     def contains(self, theta) -> bool:
         """Exact membership test."""
+        # No command calls this, so signature loads here; a Surd has loaded it already.
+        from .signature import as_exact, compare_with_rational
         if self.is_empty:
             return False
         theta = as_exact(theta)
@@ -174,6 +175,13 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
                      Fraction(hi_n, hi_d) if hi_d else None, hi_d > 0)
 
 
+class SegmentKind(Enum):
+    """How a doubly fractal sequence opens, as :func:`seed_interval` spells out."""
+
+    RAMP = "ramp"
+    ONES = "ones"
+
+
 def seed_interval(n: int, kind: SegmentKind) -> ThetaInterval:
     """Parameters whose signatures open with the given seed.
 
@@ -187,21 +195,3 @@ def seed_interval(n: int, kind: SegmentKind) -> ThetaInterval:
     if kind is SegmentKind.ONES:
         return _interval(Fraction(1, n), True, Fraction(1, n - 1), True)
     raise ValueError(f"no seed interval for {kind}")
-
-
-def first_divergence(theta1, theta2, max_terms: int) -> Optional[int]:
-    """Smallest 1-based index where two signatures differ.
-
-    Distinct parameters always diverge eventually; ``max_terms`` bounds
-    the search, and None reports agreement through that horizon.
-    """
-    t1, t2 = as_exact(theta1), as_exact(theta2)
-    if t1 == t2:
-        raise ValueError("parameters must be distinct")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
-    v1, v2 = (chain.from_iterable(v for v, _ in signature_runs(t)) for t in (t1, t2))
-    for h, (x, y) in enumerate(islice(zip(v1, v2), max_terms), start=1):
-        if x != y:
-            return h
-    return None

@@ -22,7 +22,6 @@ parse one slice at a time with ``parse_terms`` and fold over it.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -91,17 +90,6 @@ def rank_stream(terms: Iterable[int]) -> list[int]:
         counts[v] = rank = counts.get(v, 0) + 1
         out.append(rank)
     return out
-
-
-class SegmentKind(Enum):
-    """How a doubly fractal sequence opens.
-
-    RAMP:  (1, 2, ..., n, 1, ...) with n >= 2.
-    ONES:  (1, 1, ..., 1, 2, ...) with n >= 2 leading ones.
-    """
-
-    RAMP = "ramp"
-    ONES = "ones"
 
 
 class FractalCheck(NamedTuple):

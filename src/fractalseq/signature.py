@@ -20,7 +20,8 @@ list of values and a list of ranks each, with no object per term.  Row
 k of the block view holds the m in (floor(k*theta), floor((k+1)*theta)],
 so every row holds floor(theta) or floor(theta)+1 of them, and every
 block splits into the same floor(theta)+2 runs, each one pass over the
-rows.  :func:`generate_signature` and the CLI read the terms off the runs.
+rows.  :func:`generate_signature` and the CLI read the terms off the runs,
+and :func:`first_divergence` streams the runs of two parameters.
 """
 from __future__ import annotations
 
@@ -217,10 +218,12 @@ def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
     kept sorted by first key and block j is floor(theta)+2 runs: run 0
     is ([1], [j]); run t = 1..floor(theta) holds the value m + t for
     every row, m its first pair; the last run holds m + floor(theta) + 1
-    for the long rows only, and is empty when none is long.  A run of
-    block j holds at most j terms, so the work before any term is
-    bounded by its block number however large theta is.  The full runs
-    of a block share one ranks list, so a caller must not modify a run.
+    for the long rows, which lead: row k, first key 1 - frac(k*theta),
+    is long exactly when frac(k*theta) + frac(theta) >= 1, that is when
+    its first key is at most frac(theta).  A run of block j holds at
+    most j terms, so the work before any term is bounded by its block
+    number however large theta is.  The full runs of a block share one
+    ranks list, so a caller must not modify a run.
     """
     theta = as_exact(theta)
     _require_positive(theta)
@@ -229,20 +232,20 @@ def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
     short = _floor_times(1, theta)  # pairs in a short row
 
     def blocks() -> Iterator[tuple[list[int], list[int]]]:
-        rows: list[tuple[int, int, bool]] = []  # (first m, k, long), by first key
-        lo = 0
+        rows: list[tuple[int, int]] = []  # (first m, k), by first key
+        longs = lo = 0  # longs counts the long rows, which come first
         for j in count(1):
             hi = _floor_times(j, theta)
             if hi > lo:
-                insort(rows, (lo + 1, j - 1, hi - lo > short), key=by_key)
+                insort(rows, (lo + 1, j - 1), key=by_key)
+                longs += hi - lo > short
             lo = hi
             yield [1], [j]
-            firsts = [m for m, _, _ in rows]
-            ranks = [j - k for _, k, _ in rows]
+            firsts = [m for m, _ in rows]
+            ranks = [j - k for _, k in rows]
             for t in range(1, short + 1):
                 yield [m + t for m in firsts], ranks
-            yield ([m + short + 1 for m, _, long in rows if long],
-                   [j - k for _, k, long in rows if long])
+            yield [m + short + 1 for m in firsts[:longs]], ranks[:longs]
 
     return blocks()
 
@@ -253,6 +256,24 @@ def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
         raise ValueError("n_terms must be >= 1")
     runs = signature_runs(theta)
     return list(islice(chain.from_iterable(map(AnnotatedTerm, v, r) for v, r in runs), n_terms))
+
+
+def first_divergence(theta1, theta2, max_terms: int) -> Optional[int]:
+    """Smallest 1-based index where two signatures differ.
+
+    Distinct parameters always diverge eventually; ``max_terms`` bounds
+    the search, and None reports agreement through that horizon.
+    """
+    t1, t2 = as_exact(theta1), as_exact(theta2)
+    if t1 == t2:
+        raise ValueError("parameters must be distinct")
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    v1, v2 = (chain.from_iterable(v for v, _ in signature_runs(t)) for t in (t1, t2))
+    for h, (x, y) in enumerate(islice(zip(v1, v2), max_terms), start=1):
+        if x != y:
+            return h
+    return None
 
 
 def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:

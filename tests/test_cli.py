@@ -781,19 +781,32 @@ sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
+# The package modules each command loads.  runpy runs fractalseq.__main__
+# without adding it to sys.modules, so it is not listed.
+CORE = {"fractalseq", "fractalseq.cli", "fractalseq.seqcore"}
+MODULES_OF = {"generate": CORE | {"fractalseq.signature"}, "check": CORE, "trim": CORE,
+              "construct": CORE | {"fractalseq.construction"},
+              "invert": CORE | {"fractalseq.inverse"},
+              "diverge": CORE | {"fractalseq.signature"}}
+
+
 @pytest.mark.parametrize("argv, stdin, absent", [
-    (["generate", "--theta", "sqrt(13)", "--count", "5"], "",
-     {"fractalseq.construction", "fractalseq.inverse"}),
-    (["check"], "1 2 1 3\n", {"fractalseq.signature", "fractions"}),
-    (["trim", "--upper"], "1 2 1 3\n", {"fractalseq.signature", "fractions"}),
-    (["construct", "--n", "4"], "", {"fractalseq.inverse", "fractalseq.signature"}),
+    (["generate", "--theta", "sqrt(13)", "--count", "5"], "", set()),
+    (["check"], "1 2 1 3\n", {"fractions"}),
+    (["trim", "--upper"], "1 2 1 3\n", {"fractions"}),
+    (["construct", "--n", "4"], "", {"fractions"}),
     (["invert"], "1 2 3 4 1 5\n", set()),
-    (["diverge", "sqrt(2)", "3/2"], "", {"fractalseq.construction"}),
+    (["diverge", "sqrt(2)", "3/2"], "", set()),
+    (["generate", "--theta", "7/2", "--count", "5", "--json"], "", set()),
+    (["construct", "--n", "3", "--blocks", "4", "--enumerate", "--type2"], "", {"fractions"}),
+    (["invert", "--expect-nonempty"], "1 3\n", set()),
+    (["check"], "1 2 3 3\n", {"fractions"}),
 ])
 def test_each_command_loads_only_what_it_runs(argv, stdin, absent):
     # -S keeps site hooks of the environment out of the picture.
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED_BY] + argv, input=stdin,
                           capture_output=True, text=True, env=SRC_ENV, check=False)
     loaded = set(proc.stderr.split())
-    assert "fractalseq.cli" in loaded and proc.stdout
+    assert {m for m in loaded if m.startswith("fractalseq")} == MODULES_OF[argv[0]]
+    assert proc.stdout
     assert not loaded & ({"dataclasses", "inspect"} | absent)

@@ -1,5 +1,8 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import pytest
 
 import fractalseq
 from fractalseq import ConstructionState, FractalCheck, SeamMerge, Surd, ThetaInterval
-from fractalseq import construction, seqcore
+from fractalseq import construction, inverse, seqcore, signature
 
 PUBLIC_NAMES = [
     "AnnotatedTerm", "Branch", "ConstructionError", "ConstructionState",
@@ -37,6 +40,41 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         fractalseq.no_such_name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LOADED = "sorted(m for m in sys.modules if m.startswith('fractalseq'))"
+
+
+def run_fresh(script):
+    """stdout of ``script`` in a fresh interpreter; -S keeps site hooks out."""
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys\n" + script],
+                          capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("leaf", ["signature", "construction", "inverse"])
+def test_a_leaf_module_imports_only_seqcore(leaf):
+    loaded = run_fresh(f"import fractalseq.{leaf}\nprint({LOADED})")
+    assert loaded == f"{sorted(['fractalseq', 'fractalseq.seqcore', f'fractalseq.{leaf}'])}\n"
+
+
+def test_an_interval_loads_signature_only_to_test_membership():
+    out = run_fresh(f"""from fractions import Fraction
+from fractalseq import theta_interval_from_prefix
+iv = theta_interval_from_prefix([1, 2, 3, 4, 1, 5])
+print(iv, {LOADED})
+print(iv.contains(Fraction(7, 2)), {LOADED})""")
+    assert out == ("[3, 4] ['fractalseq', 'fractalseq.inverse', 'fractalseq.seqcore']\n"
+                   "True ['fractalseq', 'fractalseq.inverse', 'fractalseq.seqcore', "
+                   "'fractalseq.signature']\n")
+
+
+def test_moved_names_are_served_from_their_modules():
+    assert fractalseq.first_divergence is signature.first_divergence
+    assert fractalseq.SegmentKind is inverse.SegmentKind
 
 
 def test_construction_error_is_one_class():

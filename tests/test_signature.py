@@ -322,6 +322,9 @@ def test_runs_have_the_block_shape(theta):
             pairs = sum(j - k in r for _, r in block[1:])
             assert pairs == floor[k + 1] - floor[k]
             assert pairs in (short, short + 1), (j, k)
+        if short >= 1:
+            # The long rows lead, so the last run's ranks start run 1's.
+            assert block[1][1][:len(block[-1][1])] == block[-1][1]
 
 
 @pytest.mark.parametrize("theta", [Fraction(10 ** 30), Surd.sqrt(10 ** 40 + 121)], ids=str)
