@@ -20,15 +20,17 @@ construction.  This is the paper's converse: the trims alone determine
 the sequence, but for the forks.
 
 The paper explains a step as a merge of two "seam" windows, which both
-predict the stretch from the last closing n up to the next n+1.  The
-seam from below is the values strictly between the last n-1 and the
-last n, each raised by 1; the seam from above is the seam merged at the
-previous step, the stretch from the closing n before the last block up
-to that block's n+1.  They agree but for a single
-fresh-class value below and a single 1 above, and the step forks
-exactly when those two compete for one slot.  The merge stays as that
-explained procedure and as the tests' oracle; of the growing code only
-:func:`extend_next_block` consults it, to check its branch.
+predict the stretch from the last closing n up to the next n+1.  Once a
+block has closed, they are the terms at the two trim cursors.  The seam
+from below starts at the lower cursor, just after the last block's
+n-1, and runs to the closing n, each value raised by 1; the seam from
+above starts at the upper cursor, just after the previous block's
+closing n, and runs to the next n+1, so it is the seam merged at the
+previous step.  They agree but for a single fresh-class value below
+and a single 1 above, and the step forks exactly when those two
+compete for one slot.  The merge stays as that explained procedure and
+as the tests' oracle; of the growing code only :func:`extend_next_block`
+consults it, to check its branch.
 """
 from __future__ import annotations
 
@@ -53,31 +55,31 @@ class ConstructionState:
     """Mutable state of one construction run, started from the ramp seed
     (1, 2, ..., n).
 
-    ``block_starts`` holds the 1-based index of each block's leading 1,
-    and the last term is always the last block's closing n.  ``cursors``
-    holds what growth needs of ``terms``: the lengths of the upper and
-    the lower trim, which index the terms the next repeated value and
-    the next value above 1 must match, and the next fresh value.  A
-    passing prefix holds exactly the values 1..max, so they are
-    len - max, len - (number of 1s) and max + 1.  Each term is forced by
-    the two trims except at a fork, and ``branch_log`` records the
-    Branch taken at every fork, in order.  Between steps ``terms`` only
-    grows: editing terms is outside the contract, and the next step
-    would not notice.
+    Between steps the last term is the last block's closing n.
+    ``cursors`` holds what growth needs of ``terms``: the lengths of the
+    upper and the lower trim, which index the terms the next repeated
+    value and the next value above 1 must match, and the next fresh
+    value.  A passing prefix holds exactly the values 1..max, so they
+    are len - max, len - (number of 1s) and max + 1.  Each block holds
+    one 1, so ``blocks``, the number of 1s, is len - lower.  Each term
+    is forced by the two trims except at a fork, and ``branch_log``
+    records the Branch taken at every fork, in order.  Between steps
+    ``terms`` only grows: editing terms is outside the contract, and
+    the next step would not notice.
     """
 
-    __slots__ = ("n", "terms", "block_starts", "branch_log", "cursors")
+    __slots__ = ("n", "terms", "branch_log", "cursors")
 
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or n < 2:
             raise ConstructionError(f"need n >= 2, got {n!r}")
-        self.n, self.terms, self.block_starts = n, list(range(1, n + 1)), [1]
+        self.n, self.terms = n, list(range(1, n + 1))
         self.branch_log: list[Branch] = []
         self.cursors = (0, n - 1, n + 1)
 
     @property
     def blocks(self) -> int:
-        return len(self.block_starts)
+        return len(self.terms) - self.cursors[1]
 
     @property
     def fresh(self) -> int:
@@ -86,8 +88,7 @@ class ConstructionState:
     def clone(self) -> "ConstructionState":
         twin = object.__new__(ConstructionState)  # skips __init__, which builds the seed
         twin.n, twin.cursors = self.n, self.cursors
-        twin.terms, twin.block_starts = list(self.terms), list(self.block_starts)
-        twin.branch_log = list(self.branch_log)
+        twin.terms, twin.branch_log = list(self.terms), list(self.branch_log)
         return twin
 
 
@@ -99,7 +100,6 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     if state.blocks != 1:
         raise ConstructionError("second block can only follow the bare seed")
     state.terms.append(1)  # the seed's closing 1, a repeat; the rest is forced
-    state.block_starts.append(state.n + 1)
     upper, lower, fresh = state.cursors
     state.cursors = (upper + 1, lower, fresh)
     _grow(state, None)
@@ -109,22 +109,21 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
 def seam_below(state: ConstructionState) -> list[int]:
     """The coming seam as predicted by lower trimming.
 
-    Values strictly between the last block's one n-1 and its closing n,
-    each raised by 1.
+    Values strictly between the last block's one n-1, the last term of
+    the lower trim, and its closing n, each raised by 1.
     """
     _require_blocks(state, 2)
-    a = state.terms.index(state.n - 1, state.block_starts[-1] - 1)
-    return [x + 1 for x in state.terms[a + 1:-1]]
+    return [x + 1 for x in state.terms[state.cursors[1]:-1]]
 
 
 def seam_above(state: ConstructionState) -> list[int]:
     """The coming seam as predicted by upper trimming: the seam merged
     at the previous step, read off the terms between the closing n of
-    the previous block and the last block's n+1."""
+    the previous block, the last term of the upper trim, and the last
+    block's n+1."""
     _require_blocks(state, 2)
-    n, terms, starts = state.n, state.terms, state.block_starts
-    a = terms.index(n, starts[-2] - 1)
-    return terms[a + 1:terms.index(n + 1, starts[-1] - 1)]
+    upper, terms = state.cursors[0], state.terms
+    return terms[upper:terms.index(state.n + 1, upper)]
 
 
 def _require_blocks(state: ConstructionState, k: int) -> None:
@@ -245,10 +244,8 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
                 fresh += 1
             if t > 1:
                 lower += 1
-            if t == 1:
-                state.block_starts.append(len(terms))
-            elif t == n:
-                return True
+                if t == n:
+                    return True
     finally:
         state.cursors = (upper, lower, fresh)
 
@@ -318,7 +315,7 @@ def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[i
     is the binary order of the fork choices.
     """
     _require_count("blocks", blocks)
-    return [(tuple(run.branch_log), list(run.terms))
+    return [(tuple(run.branch_log), run.terms)
             for run in _runs(init_ramp(n), lambda s: s.blocks < blocks, repeat(tuple(Branch)))]
 
 

@@ -31,7 +31,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, count, islice
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .seqcore import AnnotatedTerm
 

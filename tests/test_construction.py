@@ -37,7 +37,7 @@ def test_init_ramp():
         state = init_ramp(n)
         assert state.terms == list(range(1, n + 1))
         assert state.fresh == n + 1
-        assert state.block_starts == [1]
+        assert state.blocks == 1
         assert state.branch_log == []
         assert_cursors_are_the_trim_lengths(state)
 
@@ -81,8 +81,9 @@ def test_seam_windows(step, below, above):
 
 
 def test_seams_need_two_blocks():
-    with pytest.raises(ConstructionError):
-        seam_below(init_ramp(4))
+    for needs_two_blocks in (seam_below, seam_above, needs_branch):
+        with pytest.raises(ConstructionError):
+            needs_two_blocks(init_ramp(4))
 
 
 # --- merging ------------------------------------------------------------------
@@ -281,8 +282,9 @@ def test_block_lengths_lie_between_the_cap_bounds(n, blocks, rng):
     # Block j holds 1 + (n-1)*j to 1 + n*j terms; the CLI's term cap
     # refuses a construction by the sum of the lower bounds.
     state = construct_ramp_state(n, blocks, [rng.choice([ONE, FRESH]) for _ in range(blocks)])
-    ends = state.block_starts[1:] + [len(state.terms) + 1]
-    for j, (start, end) in enumerate(zip(state.block_starts, ends), start=1):
+    starts = [i for i, t in enumerate(state.terms, 1) if t == 1]
+    ends = starts[1:] + [len(state.terms) + 1]
+    for j, (start, end) in enumerate(zip(starts, ends), start=1):
         assert 1 + (n - 1) * j <= end - start <= 1 + n * j
 
 
@@ -417,7 +419,7 @@ def assert_step_matches_procedure(state, branch):
     """Grow one block as the drivers do, stopping first at its fork, and
     compare it with the carry plus the weave of the previous block."""
     plan = merge_seams(seam_below(state), seam_above(state), branch)
-    replay = state.terms[state.block_starts[-1] - 1:]
+    replay = state.terms[_last_index(state.terms, 1):]
     if plan.offset > 0:
         woven = scheduled_weave_forward(replay[::-1], state.n, plan.offset)[::-1]
     else:
@@ -453,7 +455,7 @@ def assert_cursors_are_the_trim_lengths(state):
     terms = state.terms
     want = (len(upper_trim(terms)), len(lower_trim(terms)), max(terms) + 1)
     assert state.cursors == want, (state.n, state.blocks)
-    assert state.block_starts == [i for i, t in enumerate(terms, 1) if t == 1]
+    assert state.blocks == terms.count(1)
 
 
 def test_cursors_are_the_trim_lengths_after_every_block():
@@ -513,7 +515,7 @@ def test_forced_step_refuses_a_fork(monkeypatch):
 
 def test_growing_a_clone_leaves_the_original_unchanged():
     def snapshot(s):
-        return list(s.terms), list(s.block_starts), list(s.branch_log), s.cursors
+        return list(s.terms), s.blocks, list(s.branch_log), s.cursors
 
     state = construct_ramp_state(5, 6, [FRESH] * 6)
     while construction._grow(state, None):

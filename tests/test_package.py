@@ -1,8 +1,10 @@
 import copy
+import inspect
 import os
 import pickle
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +77,32 @@ print(iv.contains(Fraction(7, 2)), {LOADED})""")
 def test_moved_names_are_served_from_their_modules():
     assert fractalseq.first_divergence is signature.first_divergence
     assert fractalseq.SegmentKind is inverse.SegmentKind
+
+
+def test_every_public_annotation_resolves():
+    # Annotations are strings under `from __future__ import annotations`;
+    # each must name something its module imports.  Methods that
+    # NamedTuple generates come from another module and are skipped.
+    annotated = []
+    for name in fractalseq.__all__:
+        obj = getattr(fractalseq, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member) and member.__module__ == obj.__module__:
+                    annotated.append((f"{name}.{attr}", member))
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            annotated.append((name, obj))
+    unresolved = []
+    for label, obj in annotated:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{label}: {exc}")
+    assert unresolved == []
 
 
 def test_construction_error_is_one_class():
