@@ -5,9 +5,10 @@ alike, as ASCII whitespace-separated integers and written one per line, so
 ``fractalseq generate ... | fractalseq check`` works as expected.
 ``check``, ``invert`` and ``trim`` read the input as bytes and fold over
 it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
-per slice, so none of them holds a list of every term.  ``trim`` writes
-as it goes; it first parses, without writing, each slice that a scan of
-its bytes cannot clear, so that an error leaves stdout empty.
+per slice, so none of them holds a list of every term (``check`` folds
+with ``seqcore.check_doubly_fractal_slices``).  ``trim`` writes as it
+goes, having parsed, without writing, each slice that a scan of its
+bytes cannot clear, so that an error leaves stdout empty.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
 PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
@@ -33,8 +34,8 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
-from .seqcore import (ASCII_SPACE, ConstructionError, PrefixChecker, lower_trim,
-                      parse_terms, rank_stream, term_slices, upper_trim)
+from .seqcore import (ASCII_SPACE, ConstructionError, check_doubly_fractal_slices,
+                      lower_trim, parse_terms, rank_stream, term_slices, upper_trim)
 
 _cli = sys.modules[__name__]
 
@@ -107,7 +108,7 @@ def _parses_cleanly(data: bytes) -> bool:
                         for k in range(0, len(data) - _DIGIT_BLOCK + 1, _DIGIT_BLOCK)))
 
 
-def _parse_branches(text: Optional[str]) -> Optional[list[Branch]]:
+def _parse_branches(text: Optional[str]) -> Optional[list]:
     if text is None:
         return None
     out = []
@@ -163,10 +164,7 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    checker = PrefixChecker()
-    for terms in _parsed_slices(_read_input(args.input)):
-        checker.feed(terms)
-    report = checker.report()
+    report = check_doubly_fractal_slices(_parsed_slices(_read_input(args.input)))
     print(f"upper_ok: {'true' if report.upper_ok else 'false'}")
     print(f"lower_ok: {'true' if report.lower_ok else 'false'}")
     if report.first_violation_index is not None:

@@ -10,8 +10,8 @@ within a prefix is a first occurrence in any extension, and subtracting 1
 is pointwise.  The doubly-fractal checker therefore tests "trim(s) is a
 prefix of s" rather than equality, which is the correct finite form of
 the self-similarity property.  ``check_doubly_fractal_prefix`` builds
-both trims of a list and is the oracle; ``PrefixChecker`` folds over a
-sequence handed in slices, comparing each slice's ``upper_trim`` and
+both trims of a list and is the oracle; ``check_doubly_fractal_slices``
+folds over slices of a sequence, comparing each one's ``upper_trim`` and
 ``lower_trim`` with the terms it has kept.  The two share the prefix
 comparison ``_prefix_mismatch`` and the report builder ``_report``.
 
@@ -139,9 +139,9 @@ def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
                    _prefix_mismatch(lower_trim(seq), seq))
 
 
-class PrefixChecker:
+def check_doubly_fractal_slices(slices: Iterable[Sequence[int]]) -> FractalCheck:
     """:func:`check_doubly_fractal_prefix` in one pass over a sequence
-    handed to :meth:`feed` in consecutive slices.
+    handed in consecutive slices.
 
     Each slice's :func:`upper_trim` (against the values ``seen`` so far)
     and :func:`lower_trim` must match the terms at ``up`` and ``low``,
@@ -149,59 +149,38 @@ class PrefixChecker:
     ``window`` keeps only the terms from the lagging cursor of a trim
     still passing onward, and ``base`` is the position of its first
     term.  A trim's first mismatch is final, and once both trims have
-    failed no term is kept.  Every slice must hold terms >= 1, also
-    after both trims have failed.
+    failed no term is kept.  Every slice is read to the end and must
+    hold terms >= 1, also after both trims have failed.
 
-    >>> checker = PrefixChecker()
-    >>> checker.feed([1, 2]), checker.feed([1, 3, 2, 4])
-    (True, True)
-    >>> checker.report()
+    >>> check_doubly_fractal_slices([[1, 2], [1, 3, 2, 4]])
     FractalCheck(upper_ok=True, lower_ok=True, first_violation_index=None)
-    >>> checker.feed([3, 3]), checker.report()
-    (False, FractalCheck(upper_ok=False, lower_ok=False, first_violation_index=3))
+    >>> check_doubly_fractal_slices([[1, 2], [1, 3, 2, 4], [3, 3]])
+    FractalCheck(upper_ok=False, lower_ok=False, first_violation_index=3)
     """
+    seen: set[int] = set()
+    window: list[int] = []
+    base = up = low = 0
+    bad_up: Optional[int] = None
+    bad_low: Optional[int] = None
 
-    __slots__ = ("seen", "window", "base", "up", "low", "bad_up", "bad_low")
+    def match(trimmed: list[int], at: int) -> tuple[int, Optional[int]]:
+        # The cursor past ``trimmed`` laid at ``at``, and its first mismatch.
+        k = _prefix_mismatch(trimmed, window[at:at + len(trimmed)])
+        return at + len(trimmed), None if k is None else base + at + k
 
-    def __init__(self) -> None:
-        self.seen: set[int] = set()
-        self.window: list[int] = []
-        self.base = self.up = self.low = 0
-        self.bad_up: Optional[int] = None
-        self.bad_low: Optional[int] = None
-
-    def feed(self, part: Sequence[int]) -> bool:
-        """Check the next slice; True while both trims pass."""
+    for part in slices:
         if min(part, default=1) < 1:
             raise ValueError("terms must be >= 1")
-        window = self.window
         window += part
-        if self.bad_up is None:
-            self.up, self.bad_up = self._match(upper_trim(part, self.seen), self.up)
-        if self.bad_low is None:
-            self.low, self.bad_low = self._match(lower_trim(part), self.low)
-        drop = min(self.up if self.bad_up is None else len(window),
-                   self.low if self.bad_low is None else len(window))
+        if bad_up is None:
+            up, bad_up = match(upper_trim(part, seen), up)
+        if bad_low is None:
+            low, bad_low = match(lower_trim(part), low)
+        drop = min(up if bad_up is None else len(window),
+                   low if bad_low is None else len(window))
         del window[:drop]
-        self.base, self.up, self.low = self.base + drop, self.up - drop, self.low - drop
-        return self.bad_up is None and self.bad_low is None
-
-    def _match(self, trimmed: list[int], at: int) -> tuple[int, Optional[int]]:
-        """The cursor past ``trimmed`` laid at ``at``, and the position of
-        its first mismatch with the window, or None."""
-        k = _prefix_mismatch(trimmed, self.window[at:at + len(trimmed)])
-        return at + len(trimmed), None if k is None else self.base + at + k
-
-    def report(self) -> FractalCheck:
-        """The report on every term fed so far."""
-        return _report(self.bad_up, self.bad_low)
-
-    def copy(self) -> "PrefixChecker":
-        twin = PrefixChecker()
-        twin.seen, twin.window = set(self.seen), list(self.window)
-        twin.base, twin.up, twin.low = self.base, self.up, self.low
-        twin.bad_up, twin.bad_low = self.bad_up, self.bad_low
-        return twin
+        base, up, low = base + drop, up - drop, low - drop
+    return _report(bad_up, bad_low)
 
 
 _SLICE_CHARS = 1 << 14  # tokens of one slice take about 0.2 MB; 64 Ki held 1 MB more

@@ -577,28 +577,45 @@ def sqrt13_400k():
     return "".join(f"{v}\n" for v in islice(values, 400_000)).encode()
 
 
-@pytest.mark.parametrize("argv, lead", [
-    pytest.param(["check"], b"", id="check"),
-    pytest.param(["invert"], b"", id="invert"),
-    pytest.param(["trim", "--lower"], b"", id="trim --lower"),
-    # A leading '+' fails the byte scan, so trim parses every slice before writing.
-    pytest.param(["trim", "--upper"], b"+", id="+ trim --upper"),
-    pytest.param(["trim", "--lower"], b"+", id="+ trim --lower"),
+def plus_led(data):  # fails the byte scan, so trim parses every slice before writing
+    return b"+" + data
+
+
+def relabelled(data):  # v -> 2v-1: the lower trim fails at term 1, the upper trim passes
+    return b"".join(b"%d\n" % (2 * v - 1) for v in map(int, data.split()))
+
+
+def bumped(data):  # one term bumped mid-way: both trims fail
+    start = data.index(b"\n", len(data) // 2) + 1
+    end = data.index(b"\n", start)
+    return data[:start] + b"%d" % (int(data[start:end]) + 1) + data[end:]
+
+
+@pytest.mark.parametrize("argv, edit, code", [
+    pytest.param(["check"], bytes, 0, id="check"),
+    pytest.param(["check"], relabelled, 1, id="relabelled check"),
+    pytest.param(["check"], bumped, 1, id="bumped check"),
+    pytest.param(["invert"], bytes, 0, id="invert"),
+    pytest.param(["trim", "--lower"], bytes, 0, id="trim --lower"),
+    pytest.param(["trim", "--upper"], plus_led, 0, id="+ trim --upper"),
+    pytest.param(["trim", "--lower"], plus_led, 0, id="+ trim --lower"),
 ])
-def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv, lead):
+def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv, edit, code):
+    data = edit(sqrt13_400k)
     monkeypatch.setattr(sys, "stdout", Discard())
     monkeypatch.setattr(sys, "stdin", stdin_bytes("1 2 3 4 1 5\n"))
     main(argv)  # loads the modules before anything is traced
-    monkeypatch.setattr(sys, "stdin", stdin_bytes(lead + sqrt13_400k))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
     tracemalloc.start()
     try:
-        assert main(argv) == 0
+        assert main(argv) == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # Parsing every term into one list first peaked at 12.5 MB (invert) to
-    # 24 MB (check).
-    assert peak < len(sqrt13_400k) + 2 * 2 ** 20
+    # 24 MB (check); a fold that kept the terms behind a failed trim's
+    # cursor, at 13 MB on failing input.
+    assert peak < len(data) + 2 * 2 ** 20
 
 # --- chunked output ---------------------------------------------------------------
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractalseq import (EMPTY_INTERVAL, SegmentKind, Surd, ThetaInterval,
-                        annotate_ranks, first_divergence, generate_signature,
-                        parse_theta, seed_interval, theta_interval_from_prefix)
+                        annotate_ranks, check_doubly_fractal_prefix, first_divergence,
+                        generate_signature, parse_theta, seed_interval,
+                        theta_interval_from_prefix)
 from fractalseq.inverse import _interval
-from fractalseq.seqcore import PrefixChecker
+from fractalseq.seqcore import check_doubly_fractal_slices
 
 from conftest import make_theta_sample
 from fixtures import DIVERGENCE_7_2_VS_SQRT13, RAMP4_INTERVAL, RAMP4_TERMS
@@ -304,13 +305,18 @@ def test_interior_witness_regenerates(prefix):
 
 # --- every doubly fractal prefix up to a length ------------------------------------
 
+def expected_next(terms):
+    """The next terms that the upper and the lower trim of a passing
+    prefix expect, at the cursors that ``ConstructionState`` derives from
+    it: u = terms[len - max] and f = terms[len - count(1)] + 1."""
+    return terms[len(terms) - max(terms)], terms[len(terms) - terms.count(1)] + 1
+
+
 def two_candidates(terms):
-    """The next terms the construction's stepper allows, at the cursors
-    that ``ConstructionState`` derives from a passing prefix: u =
-    terms[len - max] when u is 1 or f, and f = terms[len - count(1)] + 1
-    when f is fresh (max + 1) or u."""
+    """The next terms the construction's stepper allows: u when u is 1
+    or f, and f when f is fresh (max + 1) or u."""
     top = max(terms)
-    u, f = terms[len(terms) - top], terms[len(terms) - terms.count(1)] + 1
+    u, f = expected_next(terms)
     allowed = set()
     if u in (1, f):
         allowed.add(u)
@@ -320,27 +326,28 @@ def two_candidates(terms):
 
 
 def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
-    # Level by level, every prefix that the checker accepts, with next
-    # values 1..max+1 tried at each node.
-    checker = PrefixChecker()
-    checker.feed([1])
-    level, sizes = [([1], checker)], [1]
-    while len(level[0][0]) < 150:
+    # Level by level, every prefix that the stepper allows.  At each node
+    # the fold passes exactly the allowed values among 1, u, f and max+1,
+    # and any other value fails both trims; up to length 40, every value
+    # 1..max+1 is tried.
+    level, sizes = [[1]], [1]
+    while len(level[0]) < 150:
         grown = []
-        for prefix, checker in level:
-            accepted = []
-            for v in range(1, max(prefix) + 2):
-                twin = checker.copy()
-                if twin.feed([v]):
-                    accepted.append(v)
-                    grown.append((prefix + [v], twin))
-            assert accepted == two_candidates(prefix), prefix
+        for prefix in level:
+            allowed, top = two_candidates(prefix), max(prefix)
+            named = {1, *expected_next(prefix), top + 1}
+            for v in range(1, top + 2) if len(prefix) <= 40 else named:
+                report = check_doubly_fractal_slices([prefix, [v]])
+                assert report.ok == (v in allowed), (prefix, v)
+                assert v in named or not (report.upper_ok or report.lower_ok), (prefix, v)
+            grown += [prefix + [v] for v in allowed]
         level = grown
         sizes.append(len(level))
     assert sizes[:15] == [1, 2, 4, 6, 8, 12, 14, 16, 20, 24, 26, 32, 34, 36, 42]
     assert sizes[59] == 262 and sizes[-1] == 812
     intervals = []
-    for prefix, _ in level:
+    for prefix in level:
+        assert check_doubly_fractal_prefix(prefix).ok
         iv = theta_interval_from_prefix(prefix)
         assert not iv.is_empty
         assert [t.value for t in generate_signature(iv.witness(), 150)] == prefix

@@ -1,7 +1,9 @@
 import copy
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 import typing
@@ -81,27 +83,33 @@ def test_moved_names_are_served_from_their_modules():
 
 def test_every_public_annotation_resolves():
     # Annotations are strings under `from __future__ import annotations`;
-    # each must name something its module imports.  Methods that
-    # NamedTuple generates come from another module and are skipped.
+    # each must name something its module imports, private definitions
+    # included.  Methods that NamedTuple generates come from another
+    # module and are skipped; __main__ runs the CLI when imported.
+    modules = [fractalseq] + [importlib.import_module(f"fractalseq.{info.name}")
+                              for info in pkgutil.iter_modules(fractalseq.__path__)
+                              if info.name != "__main__"]
     annotated = []
-    for name in fractalseq.__all__:
-        obj = getattr(fractalseq, name)
-        if inspect.isclass(obj):
-            for attr, member in vars(obj).items():
+    for module in modules:
+        defined = [(name, obj) for name, obj in vars(module).items()
+                   if (inspect.isclass(obj) or inspect.isfunction(obj))
+                   and obj.__module__ == module.__name__]
+        for name, obj in defined:
+            annotated.append((f"{module.__name__}.{name}", obj))
+            for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
                 if isinstance(member, (staticmethod, classmethod)):
                     member = member.__func__
                 elif isinstance(member, property):
                     member = member.fget
                 if inspect.isfunction(member) and member.__module__ == obj.__module__:
-                    annotated.append((f"{name}.{attr}", member))
-        if inspect.isclass(obj) or inspect.isfunction(obj):
-            annotated.append((name, obj))
+                    annotated.append((f"{module.__name__}.{name}.{attr}", member))
     unresolved = []
     for label, obj in annotated:
         try:
             typing.get_type_hints(obj)
         except NameError as exc:
             unresolved.append(f"{label}: {exc}")
+    assert "fractalseq.cli._parse_branches" in dict(annotated)
     assert unresolved == []
 
 

@@ -9,7 +9,7 @@ from fractalseq import (AnnotatedTerm, Branch, annotate_ranks,
                         generate_signature, lower_trim, parse_terms, parse_theta,
                         rank_stream, upper_trim)
 from fractalseq import seqcore
-from fractalseq.seqcore import PrefixChecker
+from fractalseq.seqcore import check_doubly_fractal_slices as fold
 
 from fixtures import RAMP4_TERMS, SQRT13_PREFIX
 
@@ -167,15 +167,6 @@ def test_checkers_refuse_terms_below_one(slices):
 
 # --- one-pass checker over slices ----------------------------------------------
 
-def fold(slices):
-    """Feed ``slices`` to one PrefixChecker, as ``check`` does, and
-    return its report."""
-    checker = PrefixChecker()
-    for part in slices:
-        checker.feed(part)
-    return checker.report()
-
-
 def from_the_definition(s):
     """The doubly-fractal prefix test written from the definition, sharing
     no code with the checkers: (upper_ok, lower_ok, first violation)."""
@@ -244,17 +235,14 @@ def test_sliced_check_finds_the_first_violation_of_a_long_run():
 # --- incremental checker ---------------------------------------------------
 
 def assert_agrees_at_every_cut(seq, cuts):
-    """Feed one checker the terms up to each cut in turn; after every
-    slice its verdict and report equal the list oracle's, and a failure
-    sticks."""
-    checker, at, failed = PrefixChecker(), 0, False
-    for cut in cuts:
-        ok = checker.feed(seq[at:cut])
-        at = cut
-        want = check_doubly_fractal_prefix(seq[:cut])
-        assert (ok, checker.report()) == (want.ok, want), cut
-        assert not (failed and ok), cut
-        failed = not ok
+    """Fold the slices up to each cut from scratch; each report equals
+    the list oracle's, and a failure sticks."""
+    failed = False
+    for k, cut in enumerate(cuts):
+        report = fold([seq[at:end] for at, end in zip([0] + cuts[:k], cuts[:k + 1])])
+        assert report == check_doubly_fractal_prefix(seq[:cut]), cut
+        assert not (failed and report.ok), cut
+        failed = not report.ok
 
 
 def cuts_from_chunks(length, chunks):
@@ -323,34 +311,22 @@ def test_passing_corrupted_runs_hold_one_to_max(at, value, cut):
 def test_incremental_checker_refuses_zero_and_gaps(seq):
     # Terms below 1 lie outside the domain and raise, as in the list
     # oracle; a gap fails, and the failure sticks.
-    checker = PrefixChecker()
     if min(seq) < 1:
         with pytest.raises(ValueError, match="^terms must be >= 1$"):
-            checker.feed(seq)
+            fold([seq])
     else:
-        assert not checker.feed(seq)
-        assert not checker.feed([1])
-        assert checker.report() == check_doubly_fractal_prefix(seq + [1])
+        assert not fold([seq]).ok
+        assert not fold([seq, [1]]).ok
+        assert fold([seq, [1]]) == check_doubly_fractal_prefix(seq + [1])
 
 
 def test_incremental_checker_refuses_a_gap_after_a_passing_prefix():
-    checker = PrefixChecker()
     prefix = RAMP4_TERMS[:20]
-    assert checker.feed(prefix)
+    assert fold([prefix]).ok
     gap = [max(prefix) + 2]
     assert not check_doubly_fractal_prefix(prefix + gap).ok
-    assert not checker.copy().feed(gap)
-    assert checker.feed(RAMP4_TERMS[20:])
-
-
-def test_incremental_checker_copy_is_independent():
-    checker = PrefixChecker()
-    checker.feed(RAMP4_TERMS[:20])
-    twin = checker.copy()
-    assert not twin.feed([9])
-    assert checker.report().ok
-    assert checker.feed(RAMP4_TERMS[20:])
-    assert twin.report() == check_doubly_fractal_prefix(RAMP4_TERMS[:20] + [9])
+    assert fold([prefix, gap]) == check_doubly_fractal_prefix(prefix + gap)
+    assert fold([prefix, RAMP4_TERMS[20:]]).ok
 
 
 # --- text format -----------------------------------------------------------
