@@ -8,7 +8,8 @@ it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
 per slice, so none of them holds a list of every term (``check`` folds
 with ``seqcore.check_doubly_fractal_slices``).  ``trim`` writes as it
 goes, having parsed, without writing, each slice that a scan of its
-bytes cannot clear, so that an error leaves stdout empty.
+bytes cannot clear, so that an error leaves stdout empty.  ``construct``
+writes each piece of ``ramp_pieces`` as it comes, so it holds no run either.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines, one write each: with
 PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
@@ -188,10 +189,15 @@ def _cmd_construct(args) -> int:
         _emit(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}\n" for log, terms in rows)
         return 0
 
-    terms = _cli.construct_ramp_state(args.n, args.blocks, branches).terms
+    pieces = _cli.ramp_pieces(args.n, args.blocks, branches)
+    # A run forks at most once a block, from the third on: only a shorter
+    # list can run out, and its error must come before any output.
+    if branches is not None and len(branches) < args.blocks - 2:
+        pieces = list(pieces)
     if args.type2:
-        terms = rank_stream(terms)
-    _emit(f"{t}\n" for t in terms)
+        counts: dict[int, int] = {}
+        pieces = (rank_stream(piece, counts) for piece in pieces)
+    _emit(f"{t}\n" for t in chain.from_iterable(pieces))
     return 0
 
 

@@ -31,6 +31,9 @@ and a single 1 above, and the step forks exactly when those two
 compete for one slot.  The merge stays as that explained procedure and
 as the tests' oracle; of the growing code only :func:`extend_next_block`
 consults it, to check its branch.
+
+Growth reads no term before the upper cursor, so :func:`ramp_pieces`,
+which the CLI streams, keeps only the terms from that cursor on.
 """
 from __future__ import annotations
 
@@ -64,7 +67,8 @@ class ConstructionState:
     one 1, so ``blocks``, the number of 1s, is len - lower.  Each term
     is forced by the two trims except at a fork, and ``branch_log``
     records the Branch taken at every fork, in order.  Between steps
-    ``terms`` only grows: editing terms is outside the contract, and
+    ``terms`` only grows, but for the cut :func:`ramp_pieces` makes and
+    shifts the cursors by: other edits are outside the contract, and
     the next step would not notice.
     """
 
@@ -306,6 +310,26 @@ def construct_ramp_state(n: int, blocks: int,
     _require_count("blocks", blocks)
     supply = _branch_feed(branches)
     return next(_runs(init_ramp(n), lambda s: s.blocks < blocks, supply))
+
+
+def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[list[int]]:
+    """The terms of ``construct_ramp_state(n, blocks, branches)`` in pieces,
+    one after each block: the terms before the upper trim cursor, which
+    growth never reads again, are cut from the state.  Error messages
+    that name a term count from the last cut.
+
+    >>> list(ramp_pieces(3, 4))
+    [[1, 2, 3], [1, 4, 2, 5, 3], [1, 6, 4, 2, 7, 5, 3], [1, 8, 6, 4, 2, 9, 7, 5, 3]]
+    """
+    _require_count("blocks", blocks)
+    supply, state = _branch_feed(branches), init_ramp(n)
+    while state.blocks < blocks:
+        next(_runs(state, lambda s, b=state.blocks: s.blocks == b, supply))
+        upper, lower, fresh = state.cursors
+        yield state.terms[:upper]
+        del state.terms[:upper]
+        state.cursors = (0, lower - upper, fresh)
+    yield state.terms
 
 
 def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:

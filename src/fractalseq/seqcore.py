@@ -82,9 +82,18 @@ def annotate_ranks(terms: Iterable[int]) -> list[AnnotatedTerm]:
     return list(map(AnnotatedTerm, seq, rank_stream(seq)))
 
 
-def rank_stream(terms: Iterable[int]) -> list[int]:
-    """The occurrence rank of every term, in one left-to-right pass."""
-    counts: dict[int, int] = {}
+def rank_stream(terms: Iterable[int], counts: Optional[dict[int, int]] = None) -> list[int]:
+    """The occurrence rank of every term, in one left-to-right pass.
+
+    ``counts`` holds the occurrences met before ``terms`` and is updated
+    with theirs, so a sequence can be ranked slice by slice.
+
+    >>> counts = {}
+    >>> rank_stream([1, 2, 1], counts) + rank_stream([3, 2], counts)
+    [1, 1, 2, 1, 2]
+    """
+    if counts is None:
+        counts = {}
     out: list[int] = []
     for v in terms:
         counts[v] = rank = counts.get(v, 0) + 1

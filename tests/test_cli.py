@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import fractalseq
-from fractalseq import (check_doubly_fractal_prefix, construct_ramp_state, enumerate_ramp,
-                        generate_signature, lower_trim, parse_terms, parse_theta, rank_stream,
-                        signature_runs, theta_interval_from_prefix, upper_trim)
+from fractalseq import (Branch, ConstructionError, check_doubly_fractal_prefix,
+                        construct_ramp_state, enumerate_ramp, generate_signature, lower_trim,
+                        parse_terms, parse_theta, rank_stream, signature_runs,
+                        theta_interval_from_prefix, upper_trim)
 from fractalseq import cli, seqcore
 from fractalseq.cli import main
 
@@ -238,12 +239,56 @@ def test_construct_type2_is_rank_stream_of_plain_run(capsys, monkeypatch):
             type2 = run_cli(capsys, monkeypatch, argv + ["--type2"])
             if plain[0] == 1:
                 exhausted += 1
-                assert plain[2].startswith("error: branch list exhausted")
+                assert plain[1] == "" and plain[2].startswith("error: branch list exhausted")
                 assert type2 == plain
             else:
                 ranks = rank_stream([int(x) for x in plain[1].split()])
                 assert type2 == (0, "".join(f"{r}\n" for r in ranks), "")
     assert 0 < exhausted < 30
+
+
+def test_construct_branch_lists_near_the_fork_count(capsys, monkeypatch):
+    # A run forks at most once a block, from the third on: a list of
+    # blocks - 3 choices may run out, and then nothing may be written.
+    rng = random.Random(26)
+    outcomes = set()
+    for n in (2, 4, 7):
+        for blocks in (4, 9, 25):
+            for length in (blocks - 3, blocks - 2, blocks):
+                for bits in ([Branch.FRESH_FIRST] * length,
+                             [rng.choice(list(Branch)) for _ in range(length)]):
+                    argv = ["construct", "--n", str(n), "--blocks", str(blocks),
+                            "--branches", ",".join(str(b.value) for b in bits)]
+                    try:
+                        terms = construct_ramp_state(n, blocks, bits).terms
+                    except ConstructionError:
+                        terms = None
+                    outcomes.add(terms is None)
+                    for flag, render in (([], list), (["--type2"], rank_stream)):
+                        code, out, err = run_cli(capsys, monkeypatch, argv + flag)
+                        if terms is None:
+                            assert code == 1 and out == "", argv + flag
+                            assert err.startswith("error: branch list exhausted")
+                        else:
+                            expected = "".join(f"{t}\n" for t in render(terms))
+                            assert (code, out, err) == (0, expected, ""), argv + flag
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("blocks", ["700", "1400"])
+@pytest.mark.parametrize("flag", [[], ["--type2"]], ids=["plain", "type2"])
+def test_construct_memory_does_not_grow_with_blocks(monkeypatch, blocks, flag):
+    monkeypatch.setattr(sys, "stdout", Discard())
+    assert main(["construct", "--n", "2", "--blocks", "3"] + flag) == 0  # loads the modules
+    tracemalloc.start()
+    try:
+        assert main(["construct", "--n", "2", "--blocks", blocks] + flag) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Holding the whole run peaked at 2 MiB (700 blocks, 246,050 terms) to
+    # 36 MiB (1400 blocks, 982,100 terms, --type2).
+    assert peak < 2 ** 20
 
 
 def test_construct_default_blocks_is_five(capsys, monkeypatch):
@@ -749,7 +794,7 @@ def test_tracer_reads_every_cli_name_before_main():
 @pytest.mark.parametrize("name, argv, stdin", [
     ("parse_theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
     ("signature_runs", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
-    ("construct_ramp_state", ["construct", "--n", "4"], ""),
+    ("ramp_pieces", ["construct", "--n", "4"], ""),
     ("parse_terms", ["invert"], "1 2 3 4 1 5\n"),
     ("first_divergence", ["diverge", "sqrt(2)", "3/2"], ""),
     ("parse_terms", ["check"], "1 2 1 3\n"),

@@ -1,5 +1,5 @@
 import random
-from itertools import count
+from itertools import chain, count
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,7 @@ from fractalseq import (Branch, ConstructionError, ConstructionState,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
                         generate_signature, init_ramp, lower_trim, merge_seams,
-                        needs_branch, rank_stream, seam_above, seam_below,
+                        needs_branch, ramp_pieces, rank_stream, seam_above, seam_below,
                         theta_interval_from_prefix, upper_trim)
 
 from fixtures import (RAMP4_BRANCHES, RAMP4_RANK_STREAM, RAMP4_STEPS,
@@ -291,6 +291,33 @@ def test_block_lengths_lie_between_the_cap_bounds(n, blocks, rng):
 def test_construct_rejects_exhausted_branch_list():
     with pytest.raises(ConstructionError):
         construct_ramp_state(4, 5, [ONE])
+    with pytest.raises(ConstructionError, match="branch list exhausted"):
+        list(ramp_pieces(4, 5, [ONE]))
+
+
+@given(st.integers(2, 9), st.integers(1, 60),
+       st.none() | st.lists(st.sampled_from(list(Branch)), max_size=60))
+def test_ramp_pieces_join_to_the_whole_run(n, blocks, bits):
+    try:
+        whole = construct_ramp_state(n, blocks, bits).terms
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError) as raised:
+            list(ramp_pieces(n, blocks, bits))
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(chain.from_iterable(ramp_pieces(n, blocks, bits))) == whole
+
+
+@pytest.mark.parametrize("policy", [None, [FRESH] * 300], ids=["one-first", "fresh-first"])
+def test_upper_cursor_stays_below_lower_cursor(policy):
+    # ramp_pieces cuts at the upper cursor, so the lower one must stay in
+    # the window: max > blocks, so len - max < len - blocks.
+    for n in (2, 5, 9):
+        state, supply = init_ramp(n), construction._branch_feed(policy)
+        while state.blocks < 300:
+            next(construction._runs(state, lambda s, b=state.blocks: s.blocks == b, supply))
+            upper, lower, fresh = state.cursors
+            assert upper < lower and fresh - 1 > state.blocks, (n, state.blocks)
 
 
 def test_every_step_stays_doubly_fractal():

@@ -121,6 +121,16 @@ def test_ranks_match_recounting_oracle(seq):
     assert annotate_ranks(iter(seq)) == [AnnotatedTerm(v, r) for v, r in zip(seq, ranks)]
 
 
+@given(small_seqs, st.lists(st.integers(0, 40), max_size=6))
+def test_rank_stream_slice_by_slice_with_shared_counts(seq, cuts):
+    bounds = [0] + sorted(min(c, len(seq)) for c in cuts) + [len(seq)]
+    counts = {}
+    ranks = [r for at, end in zip(bounds, bounds[1:])
+             for r in rank_stream(seq[at:end], counts)]
+    assert ranks == rank_stream(seq)
+    assert counts == {v: seq.count(v) for v in seq}
+
+
 # --- doubly-fractal prefix checker ----------------------------------------
 
 def test_check_passes_on_construction_run():
