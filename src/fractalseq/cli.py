@@ -20,6 +20,17 @@ interval under --expect-nonempty, a ``ConstructionError``), 2 usage
 error (any other ``ValueError``: malformed theta, bad counts, unreadable
 input, output above the ``FRACTALSEQ_MAX_TERMS`` cap).
 
+The grammar is one table, ``_COMMANDS``, with two readers.
+``_read_argv`` reads a well-formed argv (the command, each of its options
+in full and at most once, exactly its positionals) into the namespace
+argparse would give, and never imports argparse: importing it and
+building the six subparsers (whose ``HelpFormatter`` loads ``shutil``,
+``bz2`` and ``lzma``) cost every command milliseconds and about 0.4 MB
+of max-RSS, to read an argv that takes microseconds.  Any other argv
+(``--help``, an abbreviation, a repeated option, a usage error) goes to
+``_build_parser``, which imports argparse and builds its parser from the
+same table, so help, messages and exit codes stay argparse's.
+
 Only ``seqcore`` loads eagerly, as a command is mostly interpreter
 start-up.  Handlers read names from ``signature``, ``construction`` and
 ``inverse`` as attributes of this module (``_cli.parse_theta``): a name
@@ -29,10 +40,10 @@ a name's module on first use.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 from .seqcore import (ASCII_SPACE, ConstructionError, check_doubly_fractal_slices,
@@ -56,7 +67,7 @@ def _require_within_cap(terms: int, what: str) -> None:
     raw = os.environ.get("FRACTALSEQ_MAX_TERMS", "")
     try:
         cap = _positive_int(raw) if raw else _DEFAULT_MAX_TERMS
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise ValueError(f"FRACTALSEQ_MAX_TERMS: {exc}") from None
     if terms > cap:
         raise ValueError(f"{what} {terms} exceeds the cap of {cap} "
@@ -69,9 +80,9 @@ def _positive_int(text: str) -> int:
             raise ValueError
         v = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
     if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+        raise ValueError(f"must be >= 1, got {v}")
     return v
 
 
@@ -221,76 +232,154 @@ def _cmd_diverge(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Grammar
+
+# Per command: its handler, its help and its arguments in --help order, each
+# as add_argument's name and keywords, plus "group" naming a mutually
+# exclusive group, which is required when its members are.
+_INPUT = ("input", {"nargs": "?", "help": "file, or - for stdin"})
+_COMMANDS = {
+    "generate": (_cmd_generate, "emit the signature of an exact theta", [
+        ("--theta", {"required": True,
+                     "help": "exact parameter: 7, 13/2, sqrt(13), (1+2*sqrt(5))/3"}),
+        ("--count", {"type": _positive_int, "required": True}),
+        ("--ranks", {"action": "store_true", "group": "format",
+                     "help": "print 'value rank' instead of just values"}),
+        ("--json", {"action": "store_true", "group": "format",
+                    "help": 'JSON lines {"index":h,"value":s,"rank":a}'}),
+        ("--bfile", {"action": "store_true", "group": "format",
+                     "help": "OEIS b-file lines 'index value'"}),
+    ]),
+    "trim": (_cmd_trim, "apply one trimming operator", [
+        ("--upper", {"action": "store_true", "group": "which", "required": True,
+                     "help": "drop the first occurrence of every value"}),
+        ("--lower", {"action": "store_true", "group": "which", "required": True,
+                     "help": "subtract 1 everywhere and drop zeros"}),
+        _INPUT,
+    ]),
+    "check": (_cmd_check, "doubly-fractal prefix report", [_INPUT]),
+    "construct": (_cmd_construct, "build a sequence block by block", [
+        ("--n", {"type": _positive_int, "required": True, "help": "number of main terms (>= 2)"}),
+        ("--blocks", {"type": _positive_int, "default": 5}),
+        ("--branches", {"group": "runs",
+                        "help": "comma-separated fork choices, 0=one-first 1=fresh-first"}),
+        ("--type2", {"action": "store_true",
+                     "help": "emit the ones-seeded variant (rank translation)"}),
+        ("--enumerate", {"action": "store_true", "group": "runs",
+                         "help": "emit every branch outcome as 'bits<TAB>terms'"}),
+    ]),
+    "invert": (_cmd_invert, "recover the consistent theta interval", [
+        _INPUT,
+        ("--expect-nonempty", {"action": "store_true",
+                               "help": "exit 1 when the interval is EMPTY"}),
+    ]),
+    "diverge": (_cmd_diverge, "first index where two signatures differ", [
+        ("theta1", {}),
+        ("theta2", {}),
+        ("--max", {"type": _positive_int, "default": 1000}),
+    ]),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives ``argv`` when ``argv`` is well formed, else None.
+
+    Well formed: a command name, then its options spelled in full, each at
+    most once, as ``--opt value`` with a value not starting with '-' or as
+    ``--opt=value`` (a flag bare); exactly its positionals, '-' among them;
+    at most one ``--``, with only positionals after it and, as argparse
+    requires, one still to come before it; every required option, and at
+    most one option of a group.  A value that ``_positive_int`` refuses is
+    not well formed either, so that argparse words every error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    options = {name: spec for name, spec in arguments if name.startswith("-")}
+    slots = [spec for name, spec in arguments if name not in options]
+    given: dict[str, object] = {}
+    values: list[str] = []
+    taken = 0  # positionals read before the last option
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values += tokens
+            if taken == len(slots) or "--" in values:
+                return None
+        elif token.startswith("-") and token != "-":
+            name, eq, value = token.partition("=")
+            spec = options.get(name)
+            if spec is None or name in given or eq and "action" in spec:
+                return None
+            if not eq and "action" not in spec:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            try:
+                given[name] = True if "action" in spec else spec.get("type", str)(value)
+            except ValueError:
+                return None
+            taken = len(values)
+        else:
+            values.append(token)
+    groups = [options[name]["group"] for name in given if "group" in options[name]]
+    if (not sum("nargs" not in spec for spec in slots) <= len(values) <= len(slots)
+            or len(groups) > len(set(groups))
+            or any(spec.get("required") and name not in given and spec.get("group") not in groups
+                   for name, spec in options.items())):
+        return None
+    fill = iter(values)
+    args = {"command": argv[0], "func": func}
+    for name, spec in arguments:
+        if name in options:
+            default = False if "action" in spec else spec.get("default")
+            args[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+        else:
+            args[name] = next(fill, None)
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The ``argparse.ArgumentParser`` of ``_COMMANDS``, which reads every argv
+    that ``_read_argv`` does not: --help, abbreviations and usage errors."""
+    import argparse
+
+    def positive_int(text):
+        try:
+            return _positive_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+
     parser = argparse.ArgumentParser(
         prog="fractalseq",
         description="Signature sequences, trimming operators, block "
                     "constructions, and parameter recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="emit the signature of an exact theta")
-    p.add_argument("--theta", required=True,
-                   help="exact parameter: 7, 13/2, sqrt(13), (1+2*sqrt(5))/3")
-    p.add_argument("--count", type=_positive_int, required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--ranks", action="store_true",
-                     help="print 'value rank' instead of just values")
-    fmt.add_argument("--json", action="store_true",
-                     help='JSON lines {"index":h,"value":s,"rank":a}')
-    fmt.add_argument("--bfile", action="store_true",
-                     help="OEIS b-file lines 'index value'")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("trim", help="apply one trimming operator")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--upper", action="store_true",
-                       help="drop the first occurrence of every value")
-    which.add_argument("--lower", action="store_true",
-                       help="subtract 1 everywhere and drop zeros")
-    p.add_argument("input", nargs="?", default=None, help="file, or - for stdin")
-    p.set_defaults(func=_cmd_trim)
-
-    p = sub.add_parser("check", help="doubly-fractal prefix report")
-    p.add_argument("input", nargs="?", default=None, help="file, or - for stdin")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("construct", help="build a sequence block by block")
-    p.add_argument("--n", type=_positive_int, required=True,
-                   help="number of main terms (>= 2)")
-    p.add_argument("--blocks", type=_positive_int, default=5)
-    runs = p.add_mutually_exclusive_group()  # apart, so --help keeps its order
-    runs.add_argument("--branches", default=None,
-                      help="comma-separated fork choices, 0=one-first 1=fresh-first")
-    p.add_argument("--type2", action="store_true",
-                   help="emit the ones-seeded variant (rank translation)")
-    runs.add_argument("--enumerate", action="store_true",
-                      help="emit every branch outcome as 'bits<TAB>terms'")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("invert", help="recover the consistent theta interval")
-    p.add_argument("input", nargs="?", default=None, help="file, or - for stdin")
-    p.add_argument("--expect-nonempty", action="store_true",
-                   help="exit 1 when the interval is EMPTY")
-    p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("diverge", help="first index where two signatures differ")
-    p.add_argument("theta1")
-    p.add_argument("theta2")
-    p.add_argument("--max", type=_positive_int, default=1000)
-    p.set_defaults(func=_cmd_diverge)
-
+    for command, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        groups = {}
+        for name, spec in arguments:
+            kwargs = dict(spec)
+            if kwargs.get("type") is _positive_int:
+                kwargs["type"] = positive_int
+            holder = p
+            if "group" in kwargs:
+                required, group = kwargs.pop("required", False), kwargs.pop("group")
+                if group not in groups:
+                    groups[group] = p.add_mutually_exclusive_group(required=required)
+                holder = groups[group]
+            holder.add_argument(name, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except ConstructionError as exc:

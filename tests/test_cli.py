@@ -10,6 +10,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fractalseq
 from fractalseq import (Branch, ConstructionError, check_doubly_fractal_prefix,
@@ -741,9 +742,151 @@ def test_unbuffered_subprocess_matches_per_line_rendering():
 
 # --- plumbing ------------------------------------------------------------------------
 
+COMMANDS = ["generate", "trim", "check", "construct", "invert", "diverge"]
+USAGE = "usage: fractalseq [-h] {generate,trim,check,construct,invert,diverge} ...\n"
+
+
 def test_no_command_is_usage_error(capsys, monkeypatch):
-    code, _, _ = run_cli(capsys, monkeypatch, [])
-    assert code == 2
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, monkeypatch, [])
+    assert (code, out) == (2, "")
+    assert err == USAGE + "fractalseq: error: the following arguments are required: command\n"
+
+
+def test_unknown_command_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, monkeypatch, ["nope", "--theta", "2"])
+    assert (code, out) == (2, "")
+    assert err == USAGE + ("fractalseq: error: argument command: invalid choice: 'nope' (choose "
+                           "from 'generate', 'trim', 'check', 'construct', 'invert', 'diverge')\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in COMMANDS],
+                         ids=" ".join)
+def test_help_exits_zero(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, monkeypatch, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fractalseq")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["generate", "--theta", "2", "--count", "3", "--count", "4"], "1\n2\n3\n1\n"),
+    (["generate", "--cou", "3", "--theta", "2"], "1\n2\n3\n"),
+])
+def test_the_last_of_repeated_options_and_abbreviations_are_read(capsys, monkeypatch, argv, out):
+    assert run_cli(capsys, monkeypatch, argv) == (0, out, "")
+
+
+def test_a_theta_after_dashes_is_still_checked(capsys, monkeypatch):
+    assert run_cli(capsys, monkeypatch, ["diverge", "--", "-1", "2"]) == (
+        2, "", "error: theta must be positive: '-1'\n")
+
+
+# Every argv form the benchmark runs, restated, and every one this file runs
+# to an exit of 0 or 1: the strict reader takes each of them.
+WELL_FORMED = [
+    ["generate", "--theta=sqrt(13)", "--count", "1000"],
+    ["generate", "--theta=(1+2*sqrt(5))/3", "--count", "1000", "--ranks"],
+    ["generate", "--theta=7/2", "--count", "1000", "--json"],
+    ["generate", "--theta=7/2", "--count", "1000", "--bfile"],
+    ["generate", "--theta=-1+6*sqrt(13)", "--count", "1000", "--bfile"],
+    ["check", "terms.txt"],
+    ["invert", "terms.txt"],
+    ["trim", "--upper", "terms.txt"],
+    ["trim", "--lower", "terms.txt"],
+    ["diverge", "--max", "30000", "--", "sqrt(13)", "3605551/1000000"],
+    ["diverge", "--max", "9006", "--", "-5+5*sqrt(13)", "963/74"],
+    ["construct", "--n", "9", "--blocks", "20"],
+    ["construct", "--n", "5", "--blocks", "150", "--branches", "0,1,1,0"],
+    ["construct", "--n", "5", "--blocks", "150", "--type2"],
+    ["construct", "--n", "5", "--blocks", "150", "--branches", "0,1,1,0", "--type2"],
+    ["construct", "--n", "3", "--blocks", "12", "--enumerate"],
+    ["construct", "--n", "3", "--blocks", "12", "--enumerate", "--type2"],
+    ["generate", "--theta", "1", "--count", "1"],
+    ["generate", "--theta", "sqrt(13)", "--count", "23"],
+    ["generate", "--theta", "1/7", "--count", "2", "--ranks"],
+    ["generate", "--theta", "13/2", "--count", "3", "--json"],
+    ["generate", "--theta", "sqrt(2)", "--count", "4", "--bfile"],
+    ["trim", "--lower"],
+    ["trim", "--upper"],
+    ["check"],
+    ["invert"],
+    ["invert", "--expect-nonempty"],
+    ["construct", "--n", "4"],
+    ["construct", "--n", "4", "--branches", "0,1"],
+    ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1", "--type2"],
+    ["construct", "--n", "2", "--blocks", "3", "--type2"],
+    ["construct", "--n", "3", "--blocks", "4", "--enumerate"],
+    ["diverge", "sqrt(2)", "3/2"],
+    ["diverge", "1/7", "13/2", "--max", "10"],
+]
+
+
+def argparse_namespace(argv):
+    """``vars()`` of what argparse reads from ``argv``."""
+    return vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_read_argv_takes_every_form_in_use(argv):
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert vars(args) == argparse_namespace(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nope"], ["generate", "-h"], ["generate", "--cou", "3", "--theta", "2"],
+    ["generate", "--theta", "2", "--count", "3", "--count", "3"],
+    ["generate", "--theta", "-1", "--count", "3"], ["generate", "--theta", "2", "--count", "0"],
+    ["generate", "--theta", "2", "--count", "3", "--ranks=1"],
+    ["generate", "--theta", "2", "--count", "3", "--ranks", "--json"],
+    ["generate", "--theta", "2"],
+    ["generate", "--theta", "2", "--count", "3", "--"], ["trim", "f", "--upper", "--"],
+    ["invert", "f", "--expect-nonempty", "--"], ["diverge", "a", "b", "--max", "5", "--"],
+    ["check", "--", "--"], ["check", "f", "g"], ["trim", "f"], ["diverge", "a"],
+], ids=" ".join)
+def test_read_argv_leaves_the_rest_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+OPTIONS = ["--theta", "--count", "--ranks", "--json", "--bfile", "--upper", "--lower", "--n",
+           "--blocks", "--branches", "--type2", "--enumerate", "--expect-nonempty", "--max"]
+VALUES = ["1", "0", "-1", "1_0", "\u0663", "sqrt(13)", "7/2", "terms.txt"]
+TOKENS = (COMMANDS + ["nope", "-h", "--help", "--", "-"] + VALUES + OPTIONS
+          + [name[:5] for name in OPTIONS if len(name) > 5]
+          + [f"{name}={v}" for name in OPTIONS for v in VALUES])
+
+
+# An argv holds its command's required arguments, up to three more of its
+# own options, each once, and up to two tokens of any kind, in random order,
+# so that many argv are well formed.
+OWN = {"generate": ["--theta", "--count", "--ranks", "--json", "--bfile"],
+       "trim": ["--upper", "--lower"], "check": [],
+       "construct": ["--n", "--blocks", "--branches", "--type2", "--enumerate"],
+       "invert": ["--expect-nonempty"], "diverge": ["--max"], "nope": []}
+REQUIRED = {"generate": [["--theta", "2"], ["--count", "3"]], "trim": [["--upper"]],
+            "construct": [["--n", "3"]], "diverge": [["sqrt(2)"], ["3/2"]]}
+SPELLINGS = [lambda o, v: [o], lambda o, v: [o, v], lambda o, v: [f"{o}={v}"]]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS + ["nope"]))
+    own = draw(st.permutations(OWN[command]))[:draw(st.integers(0, 3))]
+    pieces = REQUIRED.get(command, []) + [
+        draw(st.sampled_from(SPELLINGS))(name, draw(st.sampled_from(VALUES))) for name in own]
+    token = st.sampled_from(["--", "-"] + VALUES) | st.sampled_from(TOKENS)
+    pieces += draw(st.lists(token.map(lambda t: [t]), max_size=3))
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@given(argvs())
+@settings(max_examples=1000, deadline=None)
+def test_read_argv_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        parsed = argparse_namespace(argv)
+        assert vars(args) == parsed and args.func is parsed["func"]
 
 
 def test_subprocess_entry_point(tmp_path):
@@ -852,23 +995,35 @@ MODULES_OF = {"generate": CORE | {"fractalseq.signature"}, "check": CORE, "trim"
               "diverge": CORE | {"fractalseq.signature"}}
 
 
+# argparse, and what it loads, serve only --help and the argv the strict reader refuses.
+ARGPARSE = {"argparse", "gettext", "shutil"}
+
+
 @pytest.mark.parametrize("argv, stdin, absent", [
-    (["generate", "--theta", "sqrt(13)", "--count", "5"], "", set()),
-    (["check"], "1 2 1 3\n", {"fractions"}),
-    (["trim", "--upper"], "1 2 1 3\n", {"fractions"}),
-    (["construct", "--n", "4"], "", {"fractions"}),
-    (["invert"], "1 2 3 4 1 5\n", set()),
-    (["diverge", "sqrt(2)", "3/2"], "", set()),
-    (["generate", "--theta", "7/2", "--count", "5", "--json"], "", set()),
-    (["construct", "--n", "3", "--blocks", "4", "--enumerate", "--type2"], "", {"fractions"}),
-    (["invert", "--expect-nonempty"], "1 3\n", set()),
-    (["check"], "1 2 3 3\n", {"fractions"}),
+    (["generate", "--theta", "sqrt(13)", "--count", "5"], "", ARGPARSE),
+    (["check"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
+    (["trim", "--upper"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
+    (["construct", "--n", "4"], "", ARGPARSE | {"fractions"}),
+    (["invert"], "1 2 3 4 1 5\n", ARGPARSE),
+    (["diverge", "sqrt(2)", "3/2"], "", ARGPARSE),
+    (["generate", "--theta", "7/2", "--count", "5", "--json"], "", ARGPARSE),
+    (["construct", "--n", "3", "--blocks", "4", "--enumerate", "--type2"], "",
+     ARGPARSE | {"fractions"}),
+    (["invert", "--expect-nonempty"], "1 3\n", ARGPARSE),
+    (["check"], "1 2 3 3\n", ARGPARSE | {"fractions"}),
+    (["generate", "--theta=-1+2*sqrt(7)", "--count", "5", "--bfile"], "", ARGPARSE),
+    (["generate", "--help"], "", set()),
+    (["generate", "--cou", "3", "--theta", "2"], "", set()),
 ])
 def test_each_command_loads_only_what_it_runs(argv, stdin, absent):
     # -S keeps site hooks of the environment out of the picture.
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED_BY] + argv, input=stdin,
                           capture_output=True, text=True, env=SRC_ENV, check=False)
     loaded = set(proc.stderr.split())
-    assert {m for m in loaded if m.startswith("fractalseq")} == MODULES_OF[argv[0]]
+    # --help exits before the handler loads its module.
+    modules = CORE if "--help" in argv else MODULES_OF[argv[0]]
+    assert {m for m in loaded if m.startswith("fractalseq")} == modules
     assert proc.stdout
     assert not loaded & ({"dataclasses", "inspect"} | absent)
+    if not absent & ARGPARSE:  # a row that argparse reads
+        assert ARGPARSE <= loaded
