@@ -14,7 +14,9 @@ fresh and u != 1; else no term can follow.  When u == 1 and f is fresh
 the sequence forks, and a :class:`Branch` picks the term: ONE_FIRST
 starts the next block with 1, FRESH_FIRST places f.  With k ones so
 far, ONE_FIRST keeps theta below (f-1)/k and FRESH_FIRST above it.
-Every choice is logged.  A term picked this way passes exactly the
+The first fork, just after the seed, splits at n, and the seed's main
+terms stop at n, so theta < n: the seed's closing 1 is forced.  Every
+later choice is logged.  A term picked this way passes exactly the
 tests of the two trims, so the prefix is doubly fractal by
 construction.  This is the paper's converse: the trims alone determine
 the sequence, but for the forks.
@@ -32,8 +34,9 @@ compete for one slot.  The merge stays as that explained procedure and
 as the tests' oracle; of the growing code only :func:`extend_next_block`
 consults it, to check its branch.
 
-Growth reads no term before the upper cursor, so :func:`ramp_pieces`,
-which the CLI streams, keeps only the terms from that cursor on.
+``_grow`` writes every term after the seed, the closing 1 included.
+It reads no term before the upper cursor, so :func:`ramp_pieces`,
+which the CLI streams, cuts those off: the one edit from outside.
 """
 from __future__ import annotations
 
@@ -66,10 +69,10 @@ class ConstructionState:
     are len - max, len - (number of 1s) and max + 1.  Each block holds
     one 1, so ``blocks``, the number of 1s, is len - lower.  Each term
     is forced by the two trims except at a fork, and ``branch_log``
-    records the Branch taken at every fork, in order.  Between steps
-    ``terms`` only grows, but for the cut :func:`ramp_pieces` makes and
-    shifts the cursors by: other edits are outside the contract, and
-    the next step would not notice.
+    records the Branch taken at every fork, in order.  Only ``_grow``
+    appends terms after the seed and moves the cursors, but for the cut
+    :func:`ramp_pieces` makes and shifts them by: other edits are
+    outside the contract, and the next step would not notice.
     """
 
     __slots__ = ("n", "terms", "branch_log", "cursors")
@@ -100,12 +103,9 @@ init_ramp = ConstructionState
 
 
 def extend_second_block(state: ConstructionState) -> ConstructionState:
-    """Write the forced second block (1, n+1, 2, n+2, ..., n-1, 2n-1, n)."""
+    """Grow the forced second block (1, n+1, 2, n+2, ..., n-1, 2n-1, n)."""
     if state.blocks != 1:
         raise ConstructionError("second block can only follow the bare seed")
-    state.terms.append(1)  # the seed's closing 1, a repeat; the rest is forced
-    upper, lower, fresh = state.cursors
-    state.cursors = (upper + 1, lower, fresh)
     _grow(state, None)
     return state
 
@@ -226,6 +226,8 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
             u, f = terms[upper], terms[lower] + 1
             if u == f:
                 t = u
+            elif u == 1 and (f < fresh or len(terms) - lower == 1):
+                t = 1  # f is seen, or the seed's closing 1: theta < n
             elif f == fresh:  # terms[lower] < fresh, so f <= fresh
                 if u != 1:
                     t = f
@@ -236,8 +238,6 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
                     raise ConstructionError(f"a step forks twice, at term {len(terms) + 1}")
                 else:
                     return False
-            elif u == 1:
-                t = 1
             else:
                 raise ConstructionError(f"no term can follow term {len(terms)}: upper "
                                         f"trimming asks for {u}, lower trimming for {f}")
@@ -277,15 +277,12 @@ def _runs(state: ConstructionState, more: Callable[[ConstructionState], bool],
           choices: Iterator[tuple[Branch, ...]]) -> Iterator[ConstructionState]:
     """Grow ``state`` block by block while ``more(state)`` holds; yield each run.
 
-    A one-block state gets the forced second block.  At a fork each
-    Branch in the next tuple of ``choices`` but the last grows a clone
-    taken at the forked term, whose runs are yielded first; the last
-    grows ``state``.  One choice, one run.
+    At a fork each Branch in the next tuple of ``choices`` but the last
+    grows a clone taken at the forked term, whose runs are yielded
+    first; the last grows ``state``.  One choice, one run.
     """
     while more(state):
-        if state.blocks == 1:
-            extend_second_block(state)
-        elif not _grow(state, None):
+        if not _grow(state, None):
             picks = next(choices, None)
             if picks is None:
                 raise ConstructionError("branch list exhausted: the construction "

@@ -51,14 +51,15 @@ def test_init_ramp_rejects_small_n():
         init_ramp(1)
 
 
-def test_second_block_n4():
-    state = extend_second_block(init_ramp(4))
-    assert state.terms == [1, 2, 3, 4, 1, 5, 2, 6, 3, 7, 4]
-    assert state.fresh == 8
-
-
-def test_second_block_n2():
-    assert extend_second_block(init_ramp(2)).terms == [1, 2, 1, 3, 2]
+@pytest.mark.parametrize("n", range(2, 61))
+def test_second_block_is_its_closed_form(n):
+    # (1, n+1, 2, n+2, ..., n-1, 2n-1, n), grown by the trims alone.
+    state = extend_second_block(init_ramp(n))
+    block = [1] + [t for i in range(1, n) for t in (n + i, i + 1)]
+    assert state.terms == list(range(1, n + 1)) + block
+    assert state.fresh == 2 * n
+    assert state.branch_log == []
+    assert_cursors_are_the_trim_lengths(state)
 
 
 def test_second_block_only_after_seed():
@@ -293,6 +294,12 @@ def test_construct_rejects_exhausted_branch_list():
         construct_ramp_state(4, 5, [ONE])
     with pytest.raises(ConstructionError, match="branch list exhausted"):
         list(ramp_pieces(4, 5, [ONE]))
+    # The seed's closing 1 is decided by n and uses up no Branch, so the
+    # first fork a list must cover is in the third block.
+    for n in range(2, 10):
+        assert construct_ramp_state(n, 2, []).branch_log == []
+        with pytest.raises(ConstructionError, match="branch list exhausted"):
+            construct_ramp_state(n, 3, [])
 
 
 @given(st.integers(2, 9), st.integers(1, 60),
@@ -584,6 +591,9 @@ def test_enumerate_depth_two():
 def test_enumerate_no_fork_cases():
     assert enumerate_ramp(4, 1) == [((), [1, 2, 3, 4])]
     assert enumerate_ramp(2, 2) == [((), [1, 2, 1, 3, 2])]
+    for n in range(2, 10):
+        for blocks in (1, 2):
+            assert enumerate_ramp(n, blocks) == [((), construct_ramp_state(n, blocks).terms)]
 
 
 def test_enumerated_outcomes_regenerate_from_interval_witnesses():
