@@ -3,17 +3,17 @@
 Commands compose over pipes: sequences are read, from a file or stdin
 alike, as ASCII whitespace-separated integers and written one per line, so
 ``fractalseq generate ... | fractalseq check`` works as expected.
-``check``, ``invert`` and ``trim`` read the input as bytes and fold over
-it slice by slice (``seqcore.term_slices``), calling ``parse_terms`` once
-per slice, so none of them holds a list of every term (``check`` folds
-with ``seqcore.check_doubly_fractal_slices``).  ``trim`` writes as it
-goes, having parsed, without writing, each slice that a scan of its
-bytes cannot clear, so that an error leaves stdout empty.  ``construct``
-writes each piece of ``ramp_pieces`` as it comes, so it holds no run either.
+``check``, ``invert`` and ``trim`` read the input as it streams, one slice
+of ``seqcore.term_slices`` at a time, and parse each slice once, so
+``check`` (folding with ``seqcore.check_doubly_fractal_slices``) and
+``invert`` hold neither the input nor a list of its terms.  ``trim`` keeps
+each slice's output and writes it once the last slice has parsed, so that
+an error leaves stdout empty.  ``construct`` writes each piece of
+``ramp_pieces`` as it comes, so it holds no run either.
 Output is deterministic byte by byte for identical inputs.  Long
-outputs go out in chunks of 256 joined lines, one write each: with
-PYTHONUNBUFFERED set, writing line by line costs one write(2) per line,
-and larger chunks raise peak memory for no measurable speed.
+outputs go out in chunks of 256 joined lines (``trim``: one per slice),
+one write each: with PYTHONUNBUFFERED set, writing line by line costs one
+write(2) per line, and larger chunks raise peak memory for no measurable speed.
 
 Exit codes: 0 success, 1 domain error (a failed check, an EMPTY
 interval under --expect-nonempty, a ``ConstructionError``), 2 usage
@@ -46,7 +46,7 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
-from .seqcore import (ASCII_SPACE, ConstructionError, check_doubly_fractal_slices,
+from .seqcore import (ConstructionError, check_doubly_fractal_slices,
                       lower_trim, parse_terms, rank_stream, term_slices, upper_trim)
 
 _cli = sys.modules[__name__]
@@ -86,38 +86,36 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _read_input(path: Optional[str]) -> bytes:
+def _parsed_slices(path: Optional[str]) -> Iterator[list[int]]:
+    """The terms of a file or stdin, parsed one slice of ``term_slices`` at a
+    time.  A non-ASCII byte anywhere is the error, named at its position in
+    the input, so after a bad token the rest is read before its error is raised."""
+    bad: Optional[ValueError] = None
+    at, stream = 0, None
     try:
-        if path is None or path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        if not data.isascii():
-            data.decode("ascii")  # raises, naming the first non-ASCII byte
-    except (OSError, UnicodeDecodeError) as exc:
+        stream = sys.stdin.buffer if path is None or path == "-" else open(path, "rb")
+        for part in term_slices(stream):
+            try:
+                text = part.decode("ascii")
+            except UnicodeDecodeError as exc:  # named as the decoder names it in the whole input
+                raise ValueError(f"cannot read input: 'ascii' codec can't decode byte 0x"
+                                 f"{part[exc.start]:02x} in position {at + exc.start}: "
+                                 f"{exc.reason}") from None
+            at += len(part)
+            if bad is None:
+                try:
+                    terms = parse_terms(text)
+                except ValueError as exc:
+                    bad = exc
+                else:
+                    yield terms
+    except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from None
-    return data
-
-
-def _parsed_slices(data: bytes) -> Iterator[list[int]]:
-    return (parse_terms(part.decode("ascii")) for part in term_slices(data))
-
-
-# A token of 639 or more digits fills a whole aligned block; int() may refuse
-# any token above 640 digits, the least limit Python allows it.
-_DIGIT_BLOCK = 320
-
-
-def _parses_cleanly(data: bytes) -> bool:
-    """True when every token is a digit 1-9 and fewer than 639 more digits,
-    so that ``data`` cannot fail to parse.  Each scan runs in C;
-    the block test makes one call per block."""
-    return (not data.translate(None, b"0123456789" + ASCII_SPACE)
-            and not data.startswith(b"0")
-            and not any(bytes((c, 48)) in data for c in ASCII_SPACE if c in data)
-            and not any(data[k:k + _DIGIT_BLOCK].isdigit()
-                        for k in range(0, len(data) - _DIGIT_BLOCK + 1, _DIGIT_BLOCK)))
+    finally:
+        if stream not in (None, sys.stdin.buffer):  # stdin is never closed
+            stream.close()
+    if bad is not None:
+        raise bad
 
 
 def _parse_branches(text: Optional[str]) -> Optional[list]:
@@ -164,19 +162,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_trim(args) -> int:
-    data = _read_input(args.input)
-    for part in term_slices(data):  # such as '+5' or '007': raise any error before writing
-        if not _parses_cleanly(part):
-            parse_terms(part.decode("ascii"))
+    # Every slice parses before any is written, so that an error leaves stdout empty.
     seen: set[int] = set()
-    _emit(chain.from_iterable(
-        [f"{t}\n" for t in (upper_trim(terms, seen) if args.upper else lower_trim(terms))]
-        for terms in _parsed_slices(data)))
+    trimmed = (upper_trim(terms, seen) if args.upper else lower_trim(terms)
+               for terms in _parsed_slices(args.input))
+    chunks = ["".join([f"{t}\n" for t in part]) for part in trimmed]
+    for chunk in filter(None, chunks):
+        sys.stdout.write(chunk)
     return 0
 
 
 def _cmd_check(args) -> int:
-    report = check_doubly_fractal_slices(_parsed_slices(_read_input(args.input)))
+    report = check_doubly_fractal_slices(_parsed_slices(args.input))
     print(f"upper_ok: {'true' if report.upper_ok else 'false'}")
     print(f"lower_ok: {'true' if report.lower_ok else 'false'}")
     if report.first_violation_index is not None:
@@ -215,8 +212,7 @@ def _cmd_construct(args) -> int:
 def _cmd_invert(args) -> int:
     # The fold takes an iterator, and a name rebound on this module may take lists only.
     from .inverse import theta_interval_from_prefix
-    interval = theta_interval_from_prefix(
-        chain.from_iterable(_parsed_slices(_read_input(args.input))))
+    interval = theta_interval_from_prefix(chain.from_iterable(_parsed_slices(args.input)))
     print(interval)
     if args.expect_nonempty and interval.is_empty:
         return 1

@@ -15,14 +15,14 @@ folds over slices of a sequence, comparing each one's ``upper_trim`` and
 ``lower_trim`` with the terms it has kept.  The two share the prefix
 comparison ``_prefix_mismatch`` and the report builder ``_report``.
 
-Term input is cut, as ASCII bytes, into slices of about ``_SLICE_CHARS``
-bytes, each ending at whitespace (``term_slices``), so that a caller can
-parse one slice at a time with ``parse_terms`` and fold over it.
+Term input is read from a binary stream ``_SLICE_CHARS`` bytes at a time
+and cut into slices, each ending at whitespace (``term_slices``), so that
+a caller can parse one slice at a time with ``parse_terms`` and fold over
+it without holding the input.
 """
 from __future__ import annotations
 
-import re
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConstructionError(ValueError):
@@ -194,30 +194,31 @@ def check_doubly_fractal_slices(slices: Iterable[Sequence[int]]) -> FractalCheck
 
 _SLICE_CHARS = 1 << 14  # tokens of one slice take about 0.2 MB; 64 Ki held 1 MB more
 # Exactly the ASCII characters str.isspace() is true of, which split() cuts
-# at; a bytes \s leaves out \x1c-\x1f.  A search runs in C, so a huge token
-# costs no loop in Python.  The pattern is compiled on first use, which
-# spares a command that reads no input about 0.15 ms of start-up.
+# at; bytes.split() leaves out \x1c-\x1f.
 ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-_SPACE_BYTES = b"[" + re.escape(ASCII_SPACE) + b"]"
 
 
-def term_slices(data: bytes) -> Iterator[bytes]:
-    """Cut ASCII bytes into pieces of about ``_SLICE_CHARS`` bytes, each
-    ending at whitespace, so no token is split."""
-    space = re.compile(_SPACE_BYTES)
-    start = 0
-    while start < len(data):
-        cut = space.search(data, start + _SLICE_CHARS)
-        end = cut.end() if cut else len(data)
-        yield data[start:end]
-        start = end
+def term_slices(stream: BinaryIO) -> Iterator[bytes]:
+    """Read a binary stream ``_SLICE_CHARS`` bytes at a time and cut it into
+    slices that end at whitespace, so no token is split.  The partial last
+    token is carried in a ``bytearray`` and each read is searched alone, so a
+    token that spans many reads costs linear time."""
+    carry = bytearray()
+    while block := stream.read(_SLICE_CHARS):
+        carry += block
+        cut = max(carry.rfind(c, -len(block)) for c in ASCII_SPACE) + 1
+        if cut:
+            yield bytes(carry[:cut])
+            del carry[:cut]
+    if carry:
+        yield bytes(carry)
 
 
 def parse_terms(text: str) -> list[int]:
     """Parse ASCII decimal integers separated by whitespace or newlines.
 
     The whole text is parsed at once; to hold one slice's tokens at a
-    time, decode and parse each piece of :func:`term_slices` in turn.
+    time, decode and parse each slice of :func:`term_slices` in turn.
     """
     if text.isascii() and "_" not in text:  # int() also reads '1_0' and non-ASCII digits
         try:

@@ -1,5 +1,5 @@
+import io
 import random
-import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -399,11 +399,15 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
-def test_byte_slices_are_cut_at_what_split_takes_as_whitespace():
+def test_byte_slices_are_cut_at_what_split_takes_as_whitespace(monkeypatch):
     every_byte = bytes(range(128))
     spaces = bytes(c for c in every_byte if chr(c).isspace())
     assert seqcore.ASCII_SPACE == spaces
-    assert re.findall(seqcore._SPACE_BYTES, every_byte) == [bytes((c,)) for c in spaces]
+    # Read a byte at a time, every slice but the last ends at one of them.
+    monkeypatch.setattr(seqcore, "_SLICE_CHARS", 1)
+    parts = list(seqcore.term_slices(io.BytesIO(every_byte)))
+    assert b"".join(parts) == every_byte
+    assert bytes(part[-1] for part in parts[:-1]) == spaces
 
 
 def test_upper_trim_goes_on_from_the_values_seen():
@@ -432,7 +436,7 @@ def test_byte_slices_parse_as_the_whole_text(lead, pairs, trail, slice_chars):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqcore, "_SLICE_CHARS", slice_chars)
-        parts = list(seqcore.term_slices(data))
+        parts = list(seqcore.term_slices(io.BytesIO(data)))
         got = parse_outcome(lambda _: [t for p in parts for t in parse_terms(p.decode())], text)
     assert b"".join(parts) == data
     assert got == parse_outcome(tokenwise_parse_terms, text)
