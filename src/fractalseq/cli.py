@@ -18,7 +18,8 @@ write(2) per line, and larger chunks raise peak memory for no measurable speed.
 Exit codes: 0 success, 1 domain error (a failed check, an EMPTY
 interval under --expect-nonempty, a ``ConstructionError``), 2 usage
 error (any other ``ValueError``: malformed theta, bad counts, unreadable
-input, output above the ``FRACTALSEQ_MAX_TERMS`` cap).
+input, output above the ``FRACTALSEQ_MAX_TERMS`` cap) or unwritable
+output; a closed pipe ends quietly with 0, buffered or not.
 
 The grammar is one table, ``_COMMANDS``, with two readers.
 ``_read_argv`` reads a well-formed argv (the command, each of its options
@@ -46,8 +47,8 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
-from .seqcore import (ConstructionError, check_doubly_fractal_slices,
-                      lower_trim, parse_terms, rank_stream, term_slices, upper_trim)
+from .seqcore import (ConstructionError, check_doubly_fractal_slices, lower_trim, parse_terms,
+                      positive_int as _positive_int, rank_stream, term_slices, upper_trim)
 
 _cli = sys.modules[__name__]
 
@@ -72,18 +73,6 @@ def _require_within_cap(terms: int, what: str) -> None:
     if terms > cap:
         raise ValueError(f"{what} {terms} exceeds the cap of {cap} "
                          "(override with FRACTALSEQ_MAX_TERMS)")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        if not text.isascii() or "_" in text:  # int() also reads '1_0' and non-ASCII digits
-            raise ValueError
-        v = int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise ValueError(f"must be >= 1, got {v}")
-    return v
 
 
 def _parsed_slices(path: Optional[str]) -> Iterator[list[int]]:
@@ -370,22 +359,26 @@ def _build_parser():
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        try:
+            args = _read_argv(argv) or _build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code if isinstance(exc.code, int) else 2
+        sys.stdout.flush()  # output still buffered would fail at exit, past these handlers
+        return code
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
+    except OSError as exc:  # only writing stdout raises it: input errors are ValueErrors
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # What the failed write left buffered is flushed again at exit: send it nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0 if isinstance(exc, BrokenPipeError) else 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Finite positive-integer sequences: trimming operators, occurrence
-bookkeeping, the doubly-fractal prefix checkers, and term parsing.
+bookkeeping, the doubly-fractal prefix checkers, and term parsing, with
+``positive_int``, the one rule for every integer the program reads.
 
 Sequences are plain lists (or any iterable) of integers >= 1.  Reported
 positions are 1-based throughout, matching the usual convention for
@@ -229,15 +230,19 @@ def parse_terms(text: str) -> list[int]:
             if min(values, default=1) >= 1:
                 return values
     # Token by token, so that the error names the first bad token.
-    out = []
-    for tok in text.split():
-        try:
-            if not tok.isascii() or "_" in tok:
-                raise ValueError
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"not an integer: {tok!r}") from None
-        if v < 1:
-            raise ValueError(f"terms must be >= 1, got {v}")
-        out.append(v)
-    return out
+    return [positive_int(tok, "terms ") for tok in text.split()]
+
+
+def positive_int(text: str, what: str = "") -> int:
+    """``text`` as an integer >= 1: ASCII decimal as ``int()`` reads it, but
+    no ``_``.  A refusal says ``not an integer: 'text'``, or ``must be >= 1,
+    got v`` led by ``what``."""
+    try:
+        if not text.isascii() or "_" in text:  # int() also reads '1_0' and non-ASCII digits
+            raise ValueError
+        v = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if v < 1:
+        raise ValueError(f"{what}must be >= 1, got {v}")
+    return v

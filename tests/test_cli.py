@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,61 @@ def test_generate_respects_cap(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+# Every integer the program reads, from argv, the environment or the input,
+# keeps one rule: each string maps to the value read or to the refusal's end.
+INTEGER_RULE = {"5": 5, "+5": 5, "007": 7, "0": "must be >= 1, got 0",
+                "-3": "must be >= 1, got -3",
+                **{s: f"not an integer: {s!r}"
+                   for s in ["1_0", "\u0663", "\uff15", "x", "1.0", "0x5", "", "9" * 4301]}}
+
+
+def value_or_error(err, pattern):
+    """The value that ``pattern`` finds in ``err``, else ``err`` itself."""
+    found = re.search(pattern, err)
+    return int(found.group(1)) if found else err
+
+
+@pytest.mark.parametrize("text", INTEGER_RULE, ids=lambda s: ascii(s)[:12])
+def test_one_integer_rule_at_every_entry_point(capsys, monkeypatch, text):
+    rule = INTEGER_RULE[text]
+    # A cap of 1 refuses every value read from argv, with a message that names it.
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "1")
+    for argv, pattern in [(["generate", "--theta", "2", f"--count={text}"], r"count (\d+) "),
+                          (["construct", "--n", "3", f"--blocks={text}"], r"--blocks (\d+):"),
+                          (["diverge", "2", "3", f"--max={text}"], r"--max (\d+) ")]:
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "")
+        if isinstance(rule, int):
+            assert value_or_error(err, pattern) == rule
+        else:
+            assert err.endswith(f": error: argument {argv[-1].partition('=')[0]}: {rule}\n")
+
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", text)
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["generate", "--theta", "2", "--count", "1000001"])
+    assert (code, out) == (2, "")
+    cap = value_or_error(err, r"cap of (\d+) ")
+    assert cap == (10 ** 6 if text == "" else rule if isinstance(rule, int)
+                   else f"error: FRACTALSEQ_MAX_TERMS: {rule}\n")
+    monkeypatch.delenv("FRACTALSEQ_MAX_TERMS")
+
+    # In the input, the empty string is no token, and a non-ASCII byte fails decoding first.
+    checked = run_cli(capsys, monkeypatch, ["check"], f"1 2 3 4 {text}\n")
+    if isinstance(rule, int) or text == "":
+        canonical = f"1 2 3 4 {rule if text else ''}\n"
+        assert checked == run_cli(capsys, monkeypatch, ["check"], canonical)
+        assert parse_terms(text) == ([rule] if text else [])
+    else:
+        code, out, err = checked
+        terms = "terms " if rule.startswith("must") else ""
+        assert (code, out) == (2, "")
+        assert err == (f"error: {terms}{rule}\n" if text.isascii() else
+                       f"error: {UNDECODABLE}0x{text.encode()[0]:02x} in position 8{ASCII_RANGE}\n")
+        with pytest.raises(ValueError) as refused:
+            parse_terms(text)
+        assert str(refused.value) == terms + rule
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
 @pytest.mark.parametrize("argv", [["generate", "--theta", "2", "--count", "3"],
                                   ["diverge", "sqrt(2)", "3/2"],
@@ -148,6 +204,9 @@ def test_generate_matches_the_list_oracle(capsys, monkeypatch, text):
 class Discard:
     def write(self, text):
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_generate_memory_does_not_grow_with_count(monkeypatch):
@@ -963,6 +1022,40 @@ def test_a_closed_pipe_ends_the_output_quietly(tmp_path, sqrt13_400k, argv):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+WRITERS = [["generate", "--theta", "sqrt(13)", "--count", "500"], ["trim", "--upper", "in.txt"],
+           ["check", "in.txt"], ["construct", "--n", "3"], ["invert", "in.txt"],
+           ["diverge", "2", "3"]]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, target", [(argv, "closed pipe") for argv in WRITERS + [["--help"]]]
+                         + [(argv, "/dev/full") for argv in WRITERS],
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_a_write_error_ends_every_command_cleanly(tmp_path, argv, target, unbuffered):
+    # Block-buffered output is written at the flush, which must come inside main.
+    # --help meets only the closed pipe: argparse drops a failed write of its help.
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    (tmp_path / "in.txt").write_text("1 2 3 4 1 5 2 6 3 7 4\n")
+    if target == "closed pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+        expected = (0, b"")
+    elif not os.path.exists(target):
+        pytest.skip(f"no {target}")
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+        expected = (2, b"error: cannot write output: [Errno 28] No space left on device\n")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fractalseq", *argv], stdin=subprocess.DEVNULL,
+                              stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+                              timeout=60, check=False)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == expected
 
 
 # --- lazy loading ------------------------------------------------------------------
