@@ -9,7 +9,9 @@ of ``seqcore.term_slices`` at a time, and parse each slice once, so
 ``invert`` hold neither the input nor a list of its terms.  ``trim`` keeps
 each slice's output and writes it once the last slice has parsed, so that
 an error leaves stdout empty.  ``construct`` writes each piece of
-``ramp_pieces`` as it comes, so it holds no run either.
+``ramp_pieces`` as it comes, so it holds no run either; ``--enumerate``
+grows and writes one row at a time, once ``ramp_leaves`` has given the
+total length of them all.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines (``trim``: one per slice),
 one write each: with PYTHONUNBUFFERED set, writing line by line costs one
@@ -119,10 +121,6 @@ def _parse_branches(text: Optional[str]) -> Optional[list]:
     return out
 
 
-def _branch_bits(log) -> str:
-    return ",".join(str(b.value) for b in log) if log else "-"
-
-
 def _emit(lines: Iterable[str]) -> None:
     # sys.stdout is looked up per chunk, so a replaced stream is honoured.
     lines = iter(lines)
@@ -174,16 +172,19 @@ def _cmd_construct(args) -> int:
     branches = _parse_branches(args.branches)
     if args.n < 2:
         raise ValueError(f"need --n >= 2, got {args.n}")
-    # Block j holds at least 1 + (n-1)*j terms, so no run that fits is refused.
-    _require_within_cap(args.blocks + (args.n - 1) * args.blocks * (args.blocks + 1) // 2,
-                        f"--n {args.n} and --blocks {args.blocks}: least run length")
+    # The leaves name every run without growing one; the first is the shortest.
+    leaves = _cli.ramp_leaves(args.n, args.blocks)
+    least = next(leaves)[1]
+    _require_within_cap(least, f"--n {args.n} and --blocks {args.blocks}: least run length")
 
     if args.enumerate:
-        rows = _cli.enumerate_ramp(args.n, args.blocks)
-        _require_within_cap(sum(len(terms) for _, terms in rows), "--enumerate: total length")
-        if args.type2:
-            rows = ((log, rank_stream(terms)) for log, terms in rows)
-        _emit(f"{_branch_bits(log)}\t{' '.join(map(str, terms))}\n" for log, terms in rows)
+        _require_within_cap(least + sum(length for _, length in leaves),
+                            "--enumerate: total length")
+        runs = (_cli.construct_ramp_state(args.n, args.blocks, path)
+                for path, _ in _cli.ramp_leaves(args.n, args.blocks))
+        rows = ((",".join(str(b.value) for b in run.branch_log) or "-",
+                 rank_stream(run.terms) if args.type2 else run.terms) for run in runs)
+        _emit(f"{bits}\t{' '.join(map(str, terms))}\n" for bits, terms in rows)
         return 0
 
     pieces = _cli.ramp_pieces(args.n, args.blocks, branches)
@@ -334,7 +335,12 @@ def _build_parser():
         except ValueError as exc:
             raise argparse.ArgumentTypeError(exc) from None
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers' class too
+        def print_help(self, file=None):
+            # argparse's own write drops an OSError; this one reaches main.
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="fractalseq",
         description="Signature sequences, trimming operators, block "
                     "constructions, and parameter recovery.")
@@ -367,12 +373,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = exc.code if isinstance(exc.code, int) else 2
         sys.stdout.flush()  # output still buffered would fail at exit, past these handlers
         return code
-    except ConstructionError as exc:
+    except ValueError as exc:  # a ConstructionError is a domain error, any other a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConstructionError) else 2
     except OSError as exc:  # only writing stdout raises it: input errors are ValueErrors
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -19,7 +19,10 @@ terms stop at n, so theta < n: the seed's closing 1 is forced.  Every
 later choice is logged.  A term picked this way passes exactly the
 tests of the two trims, so the prefix is doubly fractal by
 construction.  This is the paper's converse: the trims alone determine
-the sequence, but for the forks.
+the sequence, but for the forks.  So a run is named by its list of
+choices: :func:`ramp_leaves` lists every run's choices and length
+without growing any, and each run, one of every enumeration included,
+grows alone from the seed, taking one Branch per fork.
 
 The paper explains a step as a merge of two "seam" windows, which both
 predict the stretch from the last closing n up to the next n+1.  Once a
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
 # construction.check_doubly_fractal_prefix.
@@ -78,8 +81,7 @@ class ConstructionState:
     __slots__ = ("n", "terms", "branch_log", "cursors")
 
     def __init__(self, n: int) -> None:
-        if not isinstance(n, int) or n < 2:
-            raise ConstructionError(f"need n >= 2, got {n!r}")
+        _require_count("n", n, 2)
         self.n, self.terms = n, list(range(1, n + 1))
         self.branch_log: list[Branch] = []
         self.cursors = (0, n - 1, n + 1)
@@ -91,12 +93,6 @@ class ConstructionState:
     @property
     def fresh(self) -> int:
         return self.cursors[2]
-
-    def clone(self) -> "ConstructionState":
-        twin = object.__new__(ConstructionState)  # skips __init__, which builds the seed
-        twin.n, twin.cursors = self.n, self.cursors
-        twin.terms, twin.branch_log = list(self.terms), list(self.branch_log)
-        return twin
 
 
 init_ramp = ConstructionState
@@ -256,57 +252,42 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Drivers: runs grow by the two trims alone, through _grow, without the
-# seam merge; at a fork a run is cloned before the forked term.
+# seam merge, and take the next Branch of their choices at each fork.
+# ramp_leaves names every run by its choices without growing one.
 
 
-BranchSpec = Optional[Sequence[Branch]]
+BranchSpec = Optional[Iterable[Branch]]
 
 
-def _branch_feed(branches: BranchSpec) -> Iterator[tuple[Branch, ...]]:
-    """Turn a branch policy into a per-fork stream of one-choice tuples.
+def _run(state: ConstructionState, more: Callable[[ConstructionState], bool],
+         branches: BranchSpec) -> ConstructionState:
+    """Grow ``state`` block by block while ``more(state)`` holds.
 
-    None defaults every fork to ONE_FIRST; a sequence is consumed in
-    fork order and must cover every fork encountered.
+    At each fork the next Branch of ``branches`` picks the term: None
+    defaults every fork to ONE_FIRST; an iterable is consumed in fork
+    order and must cover every fork encountered.
     """
-    if branches is None:
-        return repeat((Branch.ONE_FIRST,))
-    return ((b,) for b in branches)
-
-
-def _runs(state: ConstructionState, more: Callable[[ConstructionState], bool],
-          choices: Iterator[tuple[Branch, ...]]) -> Iterator[ConstructionState]:
-    """Grow ``state`` block by block while ``more(state)`` holds; yield each run.
-
-    At a fork each Branch in the next tuple of ``choices`` but the last
-    grows a clone taken at the forked term, whose runs are yielded
-    first; the last grows ``state``.  One choice, one run.
-    """
+    choices = repeat(Branch.ONE_FIRST) if branches is None else iter(branches)
     while more(state):
         if not _grow(state, None):
-            picks = next(choices, None)
-            if picks is None:
+            branch = next(choices, None)
+            if branch is None:
                 raise ConstructionError("branch list exhausted: the construction "
                                         "forked more often than choices were given")
-            *others, last = picks
-            for choice in others:
-                twin = state.clone()
-                _grow(twin, choice)
-                yield from _runs(twin, more, choices)
-            _grow(state, last)
-    yield state
+            _grow(state, branch)
+    return state
 
 
-def _require_count(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ConstructionError(f"need {name} >= 1, got {value!r}")
+def _require_count(name: str, value: int, least: int = 1) -> None:
+    if not isinstance(value, int) or value < least:
+        raise ConstructionError(f"need {name} >= {least}, got {value!r}")
 
 
 def construct_ramp_state(n: int, blocks: int,
                          branches: BranchSpec = None) -> ConstructionState:
     """Build ``blocks`` blocks from the ramp seed (1, 2, ..., n)."""
     _require_count("blocks", blocks)
-    supply = _branch_feed(branches)
-    return next(_runs(init_ramp(n), lambda s: s.blocks < blocks, supply))
+    return _run(init_ramp(n), lambda s: s.blocks < blocks, branches)
 
 
 def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[list[int]]:
@@ -319,9 +300,10 @@ def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[li
     [[1, 2, 3], [1, 4, 2, 5, 3], [1, 6, 4, 2, 7, 5, 3], [1, 8, 6, 4, 2, 9, 7, 5, 3]]
     """
     _require_count("blocks", blocks)
-    supply, state = _branch_feed(branches), init_ramp(n)
+    # One iterator for every block, so that each block takes the next choices.
+    supply, state = None if branches is None else iter(branches), init_ramp(n)
     while state.blocks < blocks:
-        next(_runs(state, lambda s, b=state.blocks: s.blocks == b, supply))
+        _run(state, lambda s, b=state.blocks: s.blocks == b, supply)
         upper, lower, fresh = state.cursors
         yield state.terms[:upper]
         del state.terms[:upper]
@@ -329,15 +311,53 @@ def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[li
     yield state.terms
 
 
-def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:
-    """All branch-resolved outcomes, as (branch path, terms) pairs.
+def ramp_leaves(n: int, blocks: int) -> Iterator[tuple[Iterator[Branch], int]]:
+    """Every run of ``blocks`` blocks from the ramp seed, without growing
+    one: (fork path, length) pairs, in the binary order of the choices.
 
-    Paths are listed with ONE_FIRST explored first, so the output order
-    is the binary order of the fork choices.
+    A fork with k ones so far and fresh value f splits theta at (f-1)/k,
+    the Stern-Brocot mediant of the interval so far, and k < blocks.  So
+    the runs are the leaves of the Stern-Brocot tree over [n-1, n], cut
+    where a mediant's denominator would reach ``blocks``: the gaps between
+    consecutive Farey fractions of order blocks-1 (Graham, Knuth and
+    Patashnik, *Concrete Mathematics* 4.5), which are walked left to
+    right.  In a gap floor(m*theta) is fixed for every m < blocks, and the
+    run holds n*blocks terms plus their sum: the first run
+    n*B + (n-1)*B*(B-1)/2, and past the shared endpoint c/d the next
+    (B-1)//d more.  These facts were checked by computation for n <= 9 and
+    B <= 30; they are not proved here.
+
+    A path is an iterator of Branch, walked down the tree only when read,
+    so taking a length costs no path: the first holds B-2 forks.
     """
     _require_count("blocks", blocks)
-    return [(tuple(run.branch_log), run.terms)
-            for run in _runs(init_ramp(n), lambda s: s.blocks < blocks, repeat(tuple(Branch)))]
+    _require_count("n", n, 2)
+    # The first gap a/b < c/d; with one block, c/d = 1/0 closes it.
+    a, b, c, d = n - 1, 1, (n - 1) * (blocks - 1) + 1, blocks - 1
+    length = n * blocks + (n - 1) * blocks * (blocks - 1) // 2
+    yield _fork_path(n, blocks, c, d), length
+    while d > 1:  # c/d < n
+        k = (blocks - 1 + b) // d  # the Farey successor of c/d is (k*c - a)/(k*d - b)
+        a, b, c, d, length = c, d, k * c - a, k * d - b, length + (blocks - 1) // d
+        yield _fork_path(n, blocks, c, d), length
+
+
+def _fork_path(n: int, blocks: int, c: int, d: int) -> Iterator[Branch]:
+    """The choices down the tree of :func:`ramp_leaves` to the leaf that
+    ends at c/d: ONE_FIRST where the leaf lies left of the mediant."""
+    low, high = (n - 1, 1), (n, 1)
+    while low[1] + high[1] < blocks:
+        mid = (low[0] + high[0], low[1] + high[1])
+        right = c * mid[1] > mid[0] * d
+        yield Branch(int(right))
+        low, high = (mid, high) if right else (low, mid)
+
+
+def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:
+    """All branch-resolved outcomes, as (branch path, terms) pairs, one run
+    per leaf of :func:`ramp_leaves`, in the binary order of the choices."""
+    runs = (construct_ramp_state(n, blocks, path) for path, _ in ramp_leaves(n, blocks))
+    return [(tuple(run.branch_log), run.terms) for run in runs]
 
 
 def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int]:
@@ -349,6 +369,5 @@ def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int
     by a 2, so the seed needs no special-casing.
     """
     _require_count("length", length)
-    supply = _branch_feed(branches)
-    state = next(_runs(init_ramp(n), lambda s: len(s.terms) < length, supply))
+    state = _run(init_ramp(n), lambda s: len(s.terms) < length, branches)
     return rank_stream(state.terms[:length])

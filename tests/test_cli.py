@@ -1024,6 +1024,22 @@ def test_a_closed_pipe_ends_the_output_quietly(tmp_path, sqrt13_400k, argv):
     assert (proc.returncode, err) == (0, b"")
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["--blocks", "200", "--enumerate"], "--enumerate: total length 366388876"),
+    (["--blocks", "1000", "--enumerate"], "--enumerate: total length 228071995896"),
+    (["--blocks", "1000000000"],
+     "--n 2 and --blocks 1000000000: least run length 500000001500000000"),
+], ids=["--blocks 200 --enumerate", "--blocks 1000 --enumerate", "--blocks 1000000000"])
+def test_a_refusal_costs_bounded_work(argv, refusal):
+    # Both lengths come from the leaf walk before any run is built, and the
+    # first leaf's length is read without its B-2 fork choices.
+    env = {k: v for k, v in SRC_ENV.items() if k != "FRACTALSEQ_MAX_TERMS"}
+    proc = subprocess.run([sys.executable, "-m", "fractalseq", "construct", "--n", "2", *argv],
+                          capture_output=True, text=True, env=env, timeout=5, check=False)
+    err = f"error: {refusal} exceeds the cap of 1000000{OVERRIDE}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 WRITERS = [["generate", "--theta", "sqrt(13)", "--count", "500"], ["trim", "--upper", "in.txt"],
            ["check", "in.txt"], ["construct", "--n", "3"], ["invert", "in.txt"],
            ["diverge", "2", "3"]]
@@ -1031,11 +1047,11 @@ WRITERS = [["generate", "--theta", "sqrt(13)", "--count", "500"], ["trim", "--up
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, target", [(argv, "closed pipe") for argv in WRITERS + [["--help"]]]
-                         + [(argv, "/dev/full") for argv in WRITERS],
+                         + [(argv, "/dev/full")
+                            for argv in WRITERS + [["--help"], ["generate", "--help"]]],
                          ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_a_write_error_ends_every_command_cleanly(tmp_path, argv, target, unbuffered):
     # Block-buffered output is written at the flush, which must come inside main.
-    # --help meets only the closed pipe: argparse drops a failed write of its help.
     env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -1085,7 +1101,7 @@ def test_tracer_reads_every_cli_name_before_main():
     ("parse_terms", ["check"], "1 2 1 3\n"),
     ("upper_trim", ["trim", "--upper"], "1 2 1 3\n"),
     ("lower_trim", ["trim", "--lower"], "1 2 1 3\n"),
-    ("enumerate_ramp", ["construct", "--n", "3", "--blocks", "4", "--enumerate"], ""),
+    ("ramp_leaves", ["construct", "--n", "3", "--blocks", "4", "--enumerate"], ""),
     ("Branch", ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1"], ""),
 ])
 def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):

@@ -1,8 +1,10 @@
+import copy
 import random
 from itertools import chain, count
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractalseq import construction
 from fractalseq import (Branch, ConstructionError, ConstructionState,
@@ -10,8 +12,8 @@ from fractalseq import (Branch, ConstructionError, ConstructionState,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
                         generate_signature, init_ramp, lower_trim, merge_seams,
-                        needs_branch, ramp_pieces, rank_stream, seam_above, seam_below,
-                        theta_interval_from_prefix, upper_trim)
+                        needs_branch, ramp_leaves, ramp_pieces, rank_stream, seam_above,
+                        seam_below, theta_interval_from_prefix, upper_trim)
 
 from fixtures import (RAMP4_BRANCHES, RAMP4_RANK_STREAM, RAMP4_STEPS,
                       RAMP4_TERMS)
@@ -320,9 +322,9 @@ def test_upper_cursor_stays_below_lower_cursor(policy):
     # ramp_pieces cuts at the upper cursor, so the lower one must stay in
     # the window: max > blocks, so len - max < len - blocks.
     for n in (2, 5, 9):
-        state, supply = init_ramp(n), construction._branch_feed(policy)
+        state, supply = init_ramp(n), None if policy is None else iter(policy)
         while state.blocks < 300:
-            next(construction._runs(state, lambda s, b=state.blocks: s.blocks == b, supply))
+            construction._run(state, lambda s, b=state.blocks: s.blocks == b, supply)
             upper, lower, fresh = state.cursors
             assert upper < lower and fresh - 1 > state.blocks, (n, state.blocks)
 
@@ -436,7 +438,7 @@ def test_seams_match_scans_on_both_sides_of_every_fork():
                 break
             branch = rng.choice([ONE, FRESH]) if fork else None
             if branch is not None:
-                other = extend_next_block(state.clone(), FRESH if branch is ONE else ONE)
+                other = extend_next_block(copy.deepcopy(state), FRESH if branch is ONE else ONE)
                 assert_seams_match_scans(other)
                 forks += 1
             extend_next_block(state, branch)
@@ -478,7 +480,8 @@ def test_grown_blocks_match_the_procedure_on_both_sides_of_every_fork():
         while state.blocks < 120:
             branch = rng.choice([ONE, FRESH]) if needs_branch(state) else None
             if branch is not None:
-                assert_step_matches_procedure(state.clone(), FRESH if branch is ONE else ONE)
+                other = FRESH if branch is ONE else ONE
+                assert_step_matches_procedure(copy.deepcopy(state), other)
                 forks += 1
             signs.add(assert_step_matches_procedure(state, branch) > 0)
         assert check_doubly_fractal_prefix(state.terms).ok
@@ -504,7 +507,7 @@ def test_cursors_are_the_trim_lengths_after_every_block():
             if not construction._grow(state, None):
                 assert_cursors_are_the_trim_lengths(state)
                 branch = rng.choice([ONE, FRESH])
-                twin = state.clone()
+                twin = copy.deepcopy(state)
                 assert_cursors_are_the_trim_lengths(twin)
                 assert construction._grow(twin, FRESH if branch is ONE else ONE)
                 assert_cursors_are_the_trim_lengths(twin)
@@ -547,27 +550,6 @@ def test_forced_step_refuses_a_fork(monkeypatch):
         extend_next_block(state)
 
 
-def test_growing_a_clone_leaves_the_original_unchanged():
-    def snapshot(s):
-        return list(s.terms), s.blocks, list(s.branch_log), s.cursors
-
-    state = construct_ramp_state(5, 6, [FRESH] * 6)
-    while construction._grow(state, None):
-        pass
-    before = snapshot(state)
-    grown = {}
-    for branch in (ONE, FRESH):
-        twin = state.clone()
-        construction._grow(twin, branch)
-        construction._grow(twin, None)
-        assert snapshot(state) == before
-        grown[branch] = snapshot(twin)
-    assert grown[ONE] != grown[FRESH]
-    construction._grow(state, FRESH)
-    construction._grow(state, None)
-    assert snapshot(state) == grown[FRESH]
-
-
 # --- branch enumeration ---------------------------------------------------------
 
 def test_enumerate_two_outcomes_at_first_fork():
@@ -594,6 +576,47 @@ def test_enumerate_no_fork_cases():
     for n in range(2, 10):
         for blocks in (1, 2):
             assert enumerate_ramp(n, blocks) == [((), construct_ramp_state(n, blocks).terms)]
+
+
+def runs_fork_by_fork(n, blocks):
+    """Every run of ``blocks`` blocks, grown with _grow to each fork and
+    copied there, the ONE_FIRST copy explored first."""
+    runs, stack = [], [init_ramp(n)]
+    while stack:
+        state = stack.pop()
+        while state.blocks < blocks and construction._grow(state, None):
+            pass
+        if state.blocks == blocks:
+            runs.append(state)
+        else:
+            twin = copy.deepcopy(state)
+            construction._grow(twin, ONE)
+            construction._grow(state, FRESH)
+            stack += [state, twin]
+    return runs
+
+
+def test_the_leaf_walk_names_every_run_grown_fork_by_fork():
+    for n in range(2, 10):
+        for blocks in range(1, 31 if n <= 4 else 22):
+            runs = runs_fork_by_fork(n, blocks)
+            assert enumerate_ramp(n, blocks) == [(tuple(r.branch_log), r.terms) for r in runs]
+            assert [length for _, length in ramp_leaves(n, blocks)] == [len(r.terms) for r in runs]
+
+
+@given(st.integers(2, 30), st.integers(1, 80), st.data())
+@settings(deadline=None)
+def test_a_leaf_is_the_run_of_its_path(n, blocks, data):
+    leaves = list(ramp_leaves(n, blocks))
+    lengths = [length for _, length in leaves]
+    assert lengths == sorted(lengths)
+    # The leaves are the gaps of the Farey series of order blocks-1 over [n-1, n].
+    fractions = sum(gcd(p, q) == 1 for q in range(1, blocks) for p in range(1, q + 1))
+    assert len(leaves) == max(fractions, 1)
+    path, length = leaves[data.draw(st.integers(0, len(leaves) - 1))]
+    path = tuple(path)
+    run = construct_ramp_state(n, blocks, path)
+    assert run.branch_log == list(path) and len(run.terms) == length
 
 
 def test_enumerated_outcomes_regenerate_from_interval_witnesses():

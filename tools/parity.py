@@ -177,6 +177,11 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
         for type2 in ((), ("--type2",)):
             cases.append(Case(("construct", "--n", n, "--blocks", blocks, "--enumerate", *type2),
                               quick=(n, blocks, type2) == ("3", "4", ())))
+    # Refused by the total of their rows, and accepted with 938,012 terms in 604 rows.
+    cases += [Case(("construct", "--n", "2", "--blocks", blocks, "--enumerate"))
+              for blocks in ("60", "100")]
+    cases += [Case(("construct", "--n", "2", "--blocks", "45", "--enumerate", *type2))
+              for type2 in ((), ("--type2",))]
 
     for pair in [("sqrt(13)", "7/2"), ("sqrt(2)", "3/2"), ("2", "3"), ("1/7", "1/8"),
                  ("(1+sqrt(5))/2", "8/5"), ("sqrt(8)", "2*sqrt(2)"), ("7/2", "14/4"),
@@ -204,6 +209,8 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
               (("construct", "--n", "3", "--blocks", "3"), "14"),
               (("construct", "--n", "3", "--blocks", "3"), "15"),
               (("construct", "--n", "3", "--blocks", "8", "--enumerate"), "200"),
+              (("construct", "--n", "3", "--blocks", "20", "--enumerate"), "63059"),
+              (("construct", "--n", "3", "--blocks", "20", "--enumerate"), "63060"),
               (("diverge", "2", "3", "--max", "11"), "10"),
               (("diverge", "2", "3", "--max", "10"), "10")]
     capped += [(("generate", "--theta", "2", "--count", "3"), raw)
