@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in {
     "construction": """Branch ConstructionState SeamMerge construct_ones construct_ramp_state
         enumerate_ramp extend_next_block extend_second_block init_ramp merge_seams
-        needs_branch ramp_leaves ramp_pieces seam_above seam_below""",
+        needs_branch ramp_leaf ramp_leaves ramp_pieces seam_above seam_below""",
     "inverse": """EMPTY_INTERVAL SegmentKind ThetaInterval seed_interval
         theta_interval_from_prefix""",
     "seqcore": """AnnotatedTerm ConstructionError FractalCheck annotate_ranks

@@ -9,9 +9,10 @@ of ``seqcore.term_slices`` at a time, and parse each slice once, so
 ``invert`` hold neither the input nor a list of its terms.  ``trim`` keeps
 each slice's output and writes it once the last slice has parsed, so that
 an error leaves stdout empty.  ``construct`` writes each piece of
-``ramp_pieces`` as it comes, so it holds no run either; ``--enumerate``
-grows and writes one row at a time, once ``ramp_leaves`` has given the
-total length of them all.
+``ramp_pieces`` as it comes, once ``ramp_leaf`` has given a ``--branches``
+run's length, so it holds no run either; ``--enumerate`` grows and
+writes one row at a time, once ``ramp_leaves`` has given the total
+length of them all.
 Output is deterministic byte by byte for identical inputs.  Long
 outputs go out in chunks of 256 joined lines (``trim``: one per slice),
 one write each: with PYTHONUNBUFFERED set, writing line by line costs one
@@ -187,11 +188,10 @@ def _cmd_construct(args) -> int:
         _emit(f"{bits}\t{' '.join(map(str, terms))}\n" for bits, terms in rows)
         return 0
 
+    if branches is not None:  # the leaf names the run's choices and length, growing nothing
+        branches, length = _cli.ramp_leaf(args.n, args.blocks, branches)
+        _require_within_cap(length, f"--n {args.n} and --blocks {args.blocks}: run length")
     pieces = _cli.ramp_pieces(args.n, args.blocks, branches)
-    # A run forks at most once a block, from the third on: only a shorter
-    # list can run out, and its error must come before any output.
-    if branches is not None and len(branches) < args.blocks - 2:
-        pieces = list(pieces)
     if args.type2:
         counts: dict[int, int] = {}
         pieces = (rank_stream(piece, counts) for piece in pieces)

@@ -21,8 +21,11 @@ tests of the two trims, so the prefix is doubly fractal by
 construction.  This is the paper's converse: the trims alone determine
 the sequence, but for the forks.  So a run is named by its list of
 choices: :func:`ramp_leaves` lists every run's choices and length
-without growing any, and each run, one of every enumeration included,
-grows alone from the seed, taking one Branch per fork.
+without growing any, :func:`ramp_leaf` finds one run's from its list of
+choices, and each run, one of every enumeration included, grows alone
+from the seed, taking one Branch per fork.  That the runs are the leaves
+of a Stern-Brocot tree was found and checked by computation; it is not
+proved here.
 
 The paper explains a step as a merge of two "seam" windows, which both
 predict the stretch from the last closing n up to the next n+1.  Once a
@@ -253,10 +256,11 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
 # ---------------------------------------------------------------------------
 # Drivers: runs grow by the two trims alone, through _grow, without the
 # seam merge, and take the next Branch of their choices at each fork.
-# ramp_leaves names every run by its choices without growing one.
+# ramp_leaves and ramp_leaf name runs by their choices without growing one.
 
 
 BranchSpec = Optional[Iterable[Branch]]
+_EXHAUSTED = "branch list exhausted: the construction forked more often than choices were given"
 
 
 def _run(state: ConstructionState, more: Callable[[ConstructionState], bool],
@@ -272,8 +276,7 @@ def _run(state: ConstructionState, more: Callable[[ConstructionState], bool],
         if not _grow(state, None):
             branch = next(choices, None)
             if branch is None:
-                raise ConstructionError("branch list exhausted: the construction "
-                                        "forked more often than choices were given")
+                raise ConstructionError(_EXHAUSTED)
             _grow(state, branch)
     return state
 
@@ -351,6 +354,35 @@ def _fork_path(n: int, blocks: int, c: int, d: int) -> Iterator[Branch]:
         right = c * mid[1] > mid[0] * d
         yield Branch(int(right))
         low, high = (mid, high) if right else (low, mid)
+
+
+def ramp_leaf(n: int, blocks: int, branches: Iterable[Branch]) -> tuple[list[Branch], int]:
+    """The leaf of :func:`ramp_leaves` that ``branches`` walks down to, without
+    growing its run: the choices the run takes, one per fork, and its length.
+
+    Each choice splits the interval of theta at its mediant, ONE_FIRST
+    keeping the left part, while the mediant's denominator stays below
+    ``blocks``; choices past the leaf are never read, as growth never
+    reads them.  Too few raise growth's own error.  In the leaf, of
+    mediant p/q, the run holds n*blocks terms plus the sum of
+    floor(m*p/q) over m < blocks.  That the walk takes the run's choices
+    and gives its length was checked by computation, not proved: against
+    runs grown for every leaf with n <= 9 and blocks <= 30, and for
+    random choice lists with n <= 9 and blocks <= 60.
+    """
+    _require_count("blocks", blocks)
+    _require_count("n", n, 2)
+    (a, b), (c, d), path, choices = (n - 1, 1), (n, 1), [], iter(branches)
+    while b + d < blocks:
+        branch = next(choices, None)
+        if branch is None:
+            raise ConstructionError(_EXHAUSTED)
+        path.append(branch)
+        if branch is Branch.ONE_FIRST:
+            c, d = a + c, b + d
+        else:
+            a, b = a + c, b + d
+    return path, n * blocks + sum(m * (a + c) // (b + d) for m in range(blocks))
 
 
 def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:

@@ -335,19 +335,22 @@ def test_construct_branch_lists_near_the_fork_count(capsys, monkeypatch):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("blocks", ["700", "1400"])
+@pytest.mark.parametrize("blocks", [["700"], ["1400"],
+                                    ["1000", "--branches", ",".join(["0,1"] * 8)]],
+                         ids=["700", "1400", "1000 --branches 0,1 x8"])
 @pytest.mark.parametrize("flag", [[], ["--type2"]], ids=["plain", "type2"])
 def test_construct_memory_does_not_grow_with_blocks(monkeypatch, blocks, flag):
     monkeypatch.setattr(sys, "stdout", Discard())
     assert main(["construct", "--n", "2", "--blocks", "3"] + flag) == 0  # loads the modules
     tracemalloc.start()
     try:
-        assert main(["construct", "--n", "2", "--blocks", blocks] + flag) == 0
+        assert main(["construct", "--n", "2", "--blocks", *blocks] + flag) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # Holding the whole run peaked at 2 MiB (700 blocks, 246,050 terms) to
-    # 36 MiB (1400 blocks, 982,100 terms, --type2).
+    # 36 MiB (1400 blocks, 982,100 terms, --type2), and at 5.4 MiB for a
+    # --branches list of 16 choices at 1000 blocks (691,793 terms).
     assert peak < 2 ** 20
 
 
@@ -414,13 +417,22 @@ def test_construct_refuses_by_least_run_length(capsys, monkeypatch, n, blocks, c
 
 
 def test_construct_accepts_exactly_cap_main_terms(capsys, monkeypatch):
-    # 50 is the least length of 5 blocks with n = 4; this run has 52 terms.
+    # A run is capped by its exact length: 50, the least length of 5 blocks
+    # with n = 4, for the default choices, 52 for these, and 145 for ten
+    # fresh-first choices at 12 blocks with n = 2.
     monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "50")
+    code, out, err = run_cli(capsys, monkeypatch, ["construct", "--n", "4", "--blocks", "5"])
+    assert (code, err, len(out.split())) == (0, "", 50)
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "52")
     code, out, err = run_cli(capsys, monkeypatch,
                              ["construct", "--n", "4", "--blocks", "5",
                               "--branches", "0,1"])
     assert (code, err) == (0, "")
     assert [int(x) for x in out.split()] == RAMP4_TERMS
+    monkeypatch.setenv("FRACTALSEQ_MAX_TERMS", "145")
+    code, out, err = run_cli(capsys, monkeypatch, ["construct", "--n", "2", "--blocks", "12",
+                                                   "--branches", ",".join("1" * 10)])
+    assert (code, err, len(out.splitlines())) == (0, "", 145)
 
 
 # --- invert / diverge --------------------------------------------------------------
@@ -534,6 +546,8 @@ ASCII_RANGE = ": ordinal not in range(128)"
     (GEN + ["sqrt(2)/0"], "", None, 2, "zero denominator"),
     (GEN + ["(1+sqrt(2))/0"], "", None, 2, "zero denominator"),
     (["diverge", "sqrt(2)/0", "1"], "", None, 2, "zero denominator"),
+    (["construct", "--n", "2", "--blocks", "12", "--branches", ",".join("1" * 10)], "", "100", 2,
+     "--n 2 and --blocks 12: run length 145 exceeds the cap of 100" + OVERRIDE),
 ])
 def test_error_exits_with_one_line(tmp_path, capsys, monkeypatch, argv, stdin, env, code, err):
     nonascii = tmp_path / "nonascii.txt"
@@ -1029,9 +1043,14 @@ def test_a_closed_pipe_ends_the_output_quietly(tmp_path, sqrt13_400k, argv):
     (["--blocks", "1000", "--enumerate"], "--enumerate: total length 228071995896"),
     (["--blocks", "1000000000"],
      "--n 2 and --blocks 1000000000: least run length 500000001500000000"),
-], ids=["--blocks 200 --enumerate", "--blocks 1000 --enumerate", "--blocks 1000000000"])
+    (["--blocks", "1412", "--branches", ",".join("1" * 1410)],
+     "--n 2 and --blocks 1412: run length 1993745"),
+    (["--blocks", "1400", "--branches", ",".join(["0,1"] * 10)],
+     "--n 2 and --blocks 1400: run length 1355460"),
+], ids=["--blocks 200 --enumerate", "--blocks 1000 --enumerate", "--blocks 1000000000",
+        "--blocks 1412 --branches 1 x1410", "--blocks 1400 --branches 0,1 x10"])
 def test_a_refusal_costs_bounded_work(argv, refusal):
-    # Both lengths come from the leaf walk before any run is built, and the
+    # Every length comes from the leaf walk before any run is built, and the
     # first leaf's length is read without its B-2 fork choices.
     env = {k: v for k, v in SRC_ENV.items() if k != "FRACTALSEQ_MAX_TERMS"}
     proc = subprocess.run([sys.executable, "-m", "fractalseq", "construct", "--n", "2", *argv],
@@ -1103,6 +1122,7 @@ def test_tracer_reads_every_cli_name_before_main():
     ("lower_trim", ["trim", "--lower"], "1 2 1 3\n"),
     ("ramp_leaves", ["construct", "--n", "3", "--blocks", "4", "--enumerate"], ""),
     ("Branch", ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1"], ""),
+    ("ramp_leaf", ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1"], ""),
 ])
 def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
     real, calls = getattr(cli, name), []

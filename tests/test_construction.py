@@ -12,7 +12,8 @@ from fractalseq import (Branch, ConstructionError, ConstructionState,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
                         generate_signature, init_ramp, lower_trim, merge_seams,
-                        needs_branch, ramp_leaves, ramp_pieces, rank_stream, seam_above,
+                        needs_branch, ramp_leaf, ramp_leaves, ramp_pieces, rank_stream,
+                        seam_above,
                         seam_below, theta_interval_from_prefix, upper_trim)
 
 from fixtures import (RAMP4_BRANCHES, RAMP4_RANK_STREAM, RAMP4_STEPS,
@@ -308,13 +309,19 @@ def test_construct_rejects_exhausted_branch_list():
        st.none() | st.lists(st.sampled_from(list(Branch)), max_size=60))
 def test_ramp_pieces_join_to_the_whole_run(n, blocks, bits):
     try:
-        whole = construct_ramp_state(n, blocks, bits).terms
+        run = construct_ramp_state(n, blocks, bits)
     except ConstructionError as exc:
         with pytest.raises(ConstructionError) as raised:
             list(ramp_pieces(n, blocks, bits))
         assert str(raised.value) == str(exc)
+        if bits is not None:  # the leaf walk runs out of choices as growth does
+            with pytest.raises(ConstructionError) as raised:
+                ramp_leaf(n, blocks, bits)
+            assert str(raised.value) == str(exc)
     else:
-        assert list(chain.from_iterable(ramp_pieces(n, blocks, bits))) == whole
+        assert list(chain.from_iterable(ramp_pieces(n, blocks, bits))) == run.terms
+        if bits is not None:  # the leaf walk takes the choices growth takes, and the length
+            assert ramp_leaf(n, blocks, bits) == (run.branch_log, len(run.terms))
 
 
 @pytest.mark.parametrize("policy", [None, [FRESH] * 300], ids=["one-first", "fresh-first"])
@@ -617,6 +624,7 @@ def test_a_leaf_is_the_run_of_its_path(n, blocks, data):
     path = tuple(path)
     run = construct_ramp_state(n, blocks, path)
     assert run.branch_log == list(path) and len(run.terms) == length
+    assert ramp_leaf(n, blocks, list(path)) == (list(path), length)
 
 
 def test_enumerated_outcomes_regenerate_from_interval_witnesses():

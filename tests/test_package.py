@@ -24,8 +24,8 @@ PUBLIC_NAMES = [
     "construct_ones", "construct_ramp_state", "enumerate_ramp",
     "extend_next_block", "extend_second_block", "first_divergence",
     "generate_signature", "init_ramp", "lower_trim", "merge_seams",
-    "needs_branch", "parse_terms", "parse_theta", "ramp_leaves", "ramp_pieces", "rank_stream",
-    "seam_above", "seam_below", "seed_interval", "signature_runs",
+    "needs_branch", "parse_terms", "parse_theta", "ramp_leaf", "ramp_leaves", "ramp_pieces",
+    "rank_stream", "seam_above", "seam_below", "seed_interval", "signature_runs",
     "theta_interval_from_prefix", "upper_trim",
 ]
 

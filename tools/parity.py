@@ -173,6 +173,12 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
         for type2 in ((), ("--type2",)):
             cases.append(Case(("construct", "--n", n, "--blocks", blocks, "--branches", bits,
                                *type2), quick=(bits, type2) == ("0,1", ())))
+    # A run of 691,793 terms named by a 16-choice leaf, and a list one choice short of its
+    # leaf near the cap, which exits 1 before anything is written.
+    cases += [Case(("construct", "--n", "2", "--blocks", "1000", "--branches",
+                    ",".join(["0,1"] * 8), *type2)) for type2 in ((), ("--type2",))]
+    cases.append(Case(("construct", "--n", "2", "--blocks", "1400", "--branches",
+                       ",".join("0" * 1397))))
     for n, blocks in [("3", "4"), ("3", "6"), ("2", "8"), ("4", "1")]:
         for type2 in ((), ("--type2",)):
             cases.append(Case(("construct", "--n", n, "--blocks", blocks, "--enumerate", *type2),
@@ -208,6 +214,8 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
               (("generate", "--theta", "2", "--count", "11"), "10"),
               (("construct", "--n", "3", "--blocks", "3"), "14"),
               (("construct", "--n", "3", "--blocks", "3"), "15"),
+              (("construct", "--n", "2", "--blocks", "12", "--branches", ",".join("1" * 10)),
+               "145"),
               (("construct", "--n", "3", "--blocks", "8", "--enumerate"), "200"),
               (("construct", "--n", "3", "--blocks", "20", "--enumerate"), "63059"),
               (("construct", "--n", "3", "--blocks", "20", "--enumerate"), "63060"),
