@@ -8,10 +8,11 @@ with one fresh value woven after each main term except n.
 Each term is forced by the two trims, except at a fork.  At the state's
 two trim cursors, a repeated next term must be u = terms[upper] and a
 next term above 1 must be f = terms[lower] + 1.  The terms so far are
-exactly 1..fresh-1, so f is either seen or the fresh value.  The next
-term is u when u == f, or when u == 1 and f is seen, and f when f is
-fresh and u != 1; else no term can follow.  When u == 1 and f is fresh
-the sequence forks, and a :class:`Branch` picks the term: ONE_FIRST
+exactly 1..fresh-1, so f is either seen or the fresh value.
+``_grow`` takes each term from :func:`seqcore.next_terms`: u when
+u == f, or when u == 1 and f is seen, and f when f is fresh and
+u != 1; else no term can follow.  When u == 1 and f is fresh the
+sequence forks, and a :class:`Branch` picks the term: ONE_FIRST
 starts the next block with 1, FRESH_FIRST places f.  With k ones so
 far, ONE_FIRST keeps theta below (f-1)/k and FRESH_FIRST above it.
 The first fork, just after the seed, splits at n, and the seed's main
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
 # construction.check_doubly_fractal_prefix.
-from .seqcore import ConstructionError, check_doubly_fractal_prefix, rank_stream
+from .seqcore import ConstructionError, check_doubly_fractal_prefix, next_terms, rank_stream
 
 
 class Branch(Enum):
@@ -223,23 +224,22 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
     try:
         while True:
             u, f = terms[upper], terms[lower] + 1
-            if u == f:
+            if u == f:  # most terms; next_terms would answer (u,)
                 t = u
-            elif u == 1 and (f < fresh or len(terms) - lower == 1):
-                t = 1  # f is seen, or the seed's closing 1: theta < n
-            elif f == fresh:  # terms[lower] < fresh, so f <= fresh
-                if u != 1:
-                    t = f
-                elif branch is not None:
-                    state.branch_log.append(branch)
-                    t, branch = 1 if branch is Branch.ONE_FIRST else f, None
-                elif given:
-                    raise ConstructionError(f"a step forks twice, at term {len(terms) + 1}")
-                else:
-                    return False
-            else:
+            elif len(follow := next_terms(u, f, fresh)) == 1:
+                t = follow[0]
+            elif not follow:
                 raise ConstructionError(f"no term can follow term {len(terms)}: upper "
                                         f"trimming asks for {u}, lower trimming for {f}")
+            elif len(terms) - lower == 1:
+                t = 1  # the seed's closing 1: theta < n
+            elif branch is not None:
+                state.branch_log.append(branch)
+                t, branch = 1 if branch is Branch.ONE_FIRST else f, None
+            elif given:
+                raise ConstructionError(f"a step forks twice, at term {len(terms) + 1}")
+            else:
+                return False
             terms.append(t)
             if t < fresh:
                 upper += 1

@@ -1,6 +1,7 @@
 """Finite positive-integer sequences: trimming operators, occurrence
 bookkeeping, the doubly-fractal prefix checkers, and term parsing, with
-``positive_int``, the one rule for every integer the program reads.
+``positive_int``, the one rule for every integer the program reads, and
+``next_terms``, the terms the two trims let follow a passing prefix.
 
 Sequences are plain lists (or any iterable) of integers >= 1.  Reported
 positions are 1-based throughout, matching the usual convention for
@@ -147,6 +148,28 @@ def check_doubly_fractal_prefix(terms: Iterable[int]) -> FractalCheck:
         raise ValueError("terms must be >= 1")
     return _report(_prefix_mismatch(upper_trim(seq), seq),
                    _prefix_mismatch(lower_trim(seq), seq))
+
+
+def next_terms(u: int, f: int, fresh: int) -> tuple[int, ...]:
+    """The terms that can follow a passing prefix, in increasing order.
+
+    A repeated next term must be u, the term at the upper trim's cursor,
+    and a next term above 1 must be f, one more than the term at the
+    lower trim's cursor; fresh is max + 1, so f <= fresh.  So 1 can
+    follow when u == 1, fresh when f == fresh, and any other value v
+    when u == f == v.  Both 1 and fresh can follow at a fork; no term
+    can at a dead end.
+
+    >>> next_terms(3, 3, 5), next_terms(1, 3, 5), next_terms(2, 5, 5)
+    ((3,), (1,), (5,))
+    >>> next_terms(1, 5, 5), next_terms(2, 3, 5)
+    ((1, 5), ())
+    """
+    if u == f:
+        return (u,)
+    if u == 1:
+        return (1, f) if f == fresh else (1,)
+    return (f,) if f == fresh else ()
 
 
 def check_doubly_fractal_slices(slices: Iterable[Sequence[int]]) -> FractalCheck:

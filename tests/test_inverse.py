@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from fractalseq import (EMPTY_INTERVAL, SegmentKind, Surd, ThetaInterval,
                         generate_signature, parse_theta, seed_interval,
                         theta_interval_from_prefix)
 from fractalseq.inverse import _interval
-from fractalseq.seqcore import check_doubly_fractal_slices
+from fractalseq.seqcore import check_doubly_fractal_slices, next_terms
 
 from conftest import make_theta_sample
 from fixtures import DIVERGENCE_7_2_VS_SQRT13, RAMP4_INTERVAL, RAMP4_TERMS
@@ -23,6 +25,18 @@ def closed(lo, hi):
 
 def is_farey_pair(iv):
     return iv.lo.denominator * iv.hi.numerator - iv.lo.numerator * iv.hi.denominator == 1
+
+
+def certified(iv, n):
+    """Whether the interval [p/q, r/s] of a signature prefix of length n
+    passes the certificate: rq - ps = 1, each endpoint has
+    (p+1)(q+1) <= 2n, and the mediant does not.  0 reads as 0/1 and oo
+    as 1/0.  Found by computation, not proved; only integer arithmetic
+    on the endpoints, so nothing of the package is trusted."""
+    p, q = iv.lo.numerator, iv.lo.denominator
+    r, s = (1, 0) if iv.hi is None else (iv.hi.numerator, iv.hi.denominator)
+    return (r * q - p * s == 1 and (p + 1) * (q + 1) <= 2 * n
+            and (r + 1) * (s + 1) <= 2 * n and (p + r + 1) * (q + s + 1) > 2 * n)
 
 
 # --- interval recovery -------------------------------------------------------
@@ -281,12 +295,15 @@ def test_recovered_interval_contains_its_parameter():
         iv = theta_interval_from_prefix(values)
         assert not iv.is_empty
         assert iv.contains(theta), theta
+        assert certified(iv, 200), (theta, iv)
 
 
 def test_intervals_nest_as_prefixes_grow():
     for theta in make_theta_sample(5, 5, seed=6):
         values = [t.value for t in generate_signature(theta, 400)]
         ivs = [theta_interval_from_prefix(values[:n]) for n in (50, 100, 400)]
+        for n, iv in zip((50, 100, 400), ivs):
+            assert certified(iv, n), (theta, n, iv)
         assert ivs[2].is_subset_of(ivs[1])
         assert ivs[1].is_subset_of(ivs[0])
 
@@ -312,19 +329,6 @@ def expected_next(terms):
     return terms[len(terms) - max(terms)], terms[len(terms) - terms.count(1)] + 1
 
 
-def two_candidates(terms):
-    """The next terms the construction's stepper allows: u when u is 1
-    or f, and f when f is fresh (max + 1) or u."""
-    top = max(terms)
-    u, f = expected_next(terms)
-    allowed = set()
-    if u in (1, f):
-        allowed.add(u)
-    if f == u or f == top + 1:
-        allowed.add(f)
-    return sorted(allowed)
-
-
 def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
     # Level by level, every prefix that the stepper allows.  At each node
     # the fold passes exactly the allowed values among 1, u, f and max+1,
@@ -334,8 +338,9 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
     while len(level[0]) < 150:
         grown = []
         for prefix in level:
-            allowed, top = two_candidates(prefix), max(prefix)
-            named = {1, *expected_next(prefix), top + 1}
+            (u, f), top = expected_next(prefix), max(prefix)
+            allowed = next_terms(u, f, top + 1)
+            named = {1, u, f, top + 1}
             for v in range(1, top + 2) if len(prefix) <= 40 else named:
                 report = check_doubly_fractal_slices([prefix, [v]])
                 assert report.ok == (v in allowed), (prefix, v)
@@ -356,6 +361,54 @@ def test_doubly_fractal_prefixes_are_signature_prefixes_whose_intervals_tile():
     assert intervals[0].lo == 0 and intervals[-1].hi is None
     for left, right in zip(intervals, intervals[1:]):
         assert left.hi == right.lo and is_farey_pair(left), (left, right)
+
+
+def stepper_counts(top):
+    """counts[N], for N <= top: the prefixes of length N that next_terms
+    allows, walked depth first from [1] in one list of terms.  The
+    cursors move as ``ConstructionState`` moves them, from (0, 0, 1)
+    before the first term."""
+    counts, terms = [0] * (top + 1), []
+    stack = [(0, 0, 0, 1, 1)]  # (length, upper, lower, fresh) before the term t
+    while stack:
+        length, upper, lower, fresh, t = stack.pop()
+        del terms[length:]
+        terms.append(t)
+        upper, lower, fresh = upper + (t < fresh), lower + (t > 1), fresh + (t == fresh)
+        counts[length + 1] += 1
+        if length + 1 < top:
+            stack += [(length + 1, upper, lower, fresh, v)
+                      for v in next_terms(terms[upper], terms[lower] + 1, fresh)]
+    return counts
+
+
+def farey_counts(top):
+    """counts[N], for N <= top: 1 + #{coprime p, q >= 1 : (p+1)(q+1) <= 2N}.
+    A pair first counts at N = ceil((p+1)(q+1)/2)."""
+    first = [0] * (top + 1)
+    for p in range(1, top):
+        for q in range(1, 2 * top // (p + 1)):
+            if gcd(p, q) == 1:
+                first[((p + 1) * (q + 1) + 1) // 2] += 1
+    return [0] + [1 + c for c in accumulate(first[1:])]
+
+
+def check_prefix_counts(top):
+    """The stepper's prefix count equals the Farey count at every N <= top."""
+    counts, expected = stepper_counts(top), farey_counts(top)
+    assert counts == expected, next(n for n in range(top + 1) if counts[n] != expected[n])
+    return counts
+
+
+def test_the_stepper_allows_as_many_prefixes_as_the_farey_count():
+    # Every signature prefix is doubly fractal, and a signature prefix of
+    # length N changes at p/q exactly when (p+1)(q+1) <= 2N; so equal
+    # counts make every doubly fractal prefix a signature prefix: the
+    # paper's converse, checked to N = 400 by counting (found by
+    # computation, not proved).  CI runs check_prefix_counts(1000).
+    counts = check_prefix_counts(400)
+    assert counts[1:9] == [1, 2, 4, 6, 8, 12, 14, 16]
+    assert counts[60] == 262 and counts[150] == 812
 
 
 # --- Stern-Brocot cross-check -------------------------------------------------------
