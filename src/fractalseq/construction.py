@@ -24,7 +24,9 @@ the sequence, but for the forks.  So a run is named by its list of
 choices: :func:`ramp_leaves` lists every run's choices and length
 without growing any, :func:`ramp_leaf` finds one run's from its list of
 choices, and each run, one of every enumeration included, grows alone
-from the seed, taking one Branch per fork.  That the runs are the leaves
+from the seed.  ``_grow`` grows one block and reads the Branch of each
+fork from one iterator of choices; when they run out, it raises the one
+``branch list exhausted`` error.  That the runs are the leaves
 of a Stern-Brocot tree was found and checked by computation; it is not
 proved here.
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
 # construction.check_doubly_fractal_prefix.
@@ -106,7 +108,7 @@ def extend_second_block(state: ConstructionState) -> ConstructionState:
     """Grow the forced second block (1, n+1, 2, n+2, ..., n-1, 2n-1, n)."""
     if state.blocks != 1:
         raise ConstructionError("second block can only follow the bare seed")
-    _grow(state, None)
+    _grow(state, _choices(()))
     return state
 
 
@@ -205,22 +207,19 @@ def extend_next_block(state: ConstructionState,
     """Run one full extension step: merge the seams, which decides
     whether ``branch`` is required, then grow the block."""
     merge_seams(seam_below(state), seam_above(state), branch)
-    if not _grow(state, branch):
-        raise ConstructionError(f"block {state.blocks + 1} forks though its merge is forced")
+    # A fork the merge did not foresee, or a second one, exhausts the choices.
+    _grow(state, _choices(() if branch is None else (branch,)))
     return state
 
 
-def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
-    """Append terms through the next closing n, each forced by the two trims.
-
-    At a fork ``branch`` picks the term and is used up.  At a fork with
-    no branch left, a call given none stops before the forked term and
-    returns False; a call given one raises, as does a dead end.  True
-    once the block is closed.
+def _grow(state: ConstructionState, choices: Iterator[Branch]) -> None:
+    """Append one block, through the next closing n, each term forced by
+    the two trims but at a fork, where ``next(choices)`` picks it: one
+    Branch per fork, logged.  A dead end raises, as do the choices when
+    they run out.
     """
     n, terms = state.n, state.terms
     upper, lower, fresh = state.cursors
-    given = branch is not None
     try:
         while True:
             u, f = terms[upper], terms[lower] + 1
@@ -233,13 +232,9 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
                                         f"trimming asks for {u}, lower trimming for {f}")
             elif len(terms) - lower == 1:
                 t = 1  # the seed's closing 1: theta < n
-            elif branch is not None:
-                state.branch_log.append(branch)
-                t, branch = 1 if branch is Branch.ONE_FIRST else f, None
-            elif given:
-                raise ConstructionError(f"a step forks twice, at term {len(terms) + 1}")
             else:
-                return False
+                state.branch_log.append(branch := next(choices))
+                t = 1 if branch is Branch.ONE_FIRST else f
             terms.append(t)
             if t < fresh:
                 upper += 1
@@ -248,37 +243,27 @@ def _grow(state: ConstructionState, branch: Optional[Branch]) -> bool:
             if t > 1:
                 lower += 1
                 if t == n:
-                    return True
+                    return
     finally:
         state.cursors = (upper, lower, fresh)
 
 
 # ---------------------------------------------------------------------------
-# Drivers: runs grow by the two trims alone, through _grow, without the
-# seam merge, and take the next Branch of their choices at each fork.
-# ramp_leaves and ramp_leaf name runs by their choices without growing one.
+# Drivers: each grows whole blocks with _grow, by the two trims alone,
+# without the seam merge, while its stop condition holds, and takes the
+# next Branch of one _choices iterator at each fork.  ramp_leaves and
+# ramp_leaf name runs by their choices without growing one.
 
 
 BranchSpec = Optional[Iterable[Branch]]
-_EXHAUSTED = "branch list exhausted: the construction forked more often than choices were given"
 
 
-def _run(state: ConstructionState, more: Callable[[ConstructionState], bool],
-         branches: BranchSpec) -> ConstructionState:
-    """Grow ``state`` block by block while ``more(state)`` holds.
-
-    At each fork the next Branch of ``branches`` picks the term: None
-    defaults every fork to ONE_FIRST; an iterable is consumed in fork
-    order and must cover every fork encountered.
-    """
-    choices = repeat(Branch.ONE_FIRST) if branches is None else iter(branches)
-    while more(state):
-        if not _grow(state, None):
-            branch = next(choices, None)
-            if branch is None:
-                raise ConstructionError(_EXHAUSTED)
-            _grow(state, branch)
-    return state
+def _choices(branches: BranchSpec) -> Iterator[Branch]:
+    """The Branch of each fork in turn: ONE_FIRST at every fork for
+    None, else ``branches`` in order, after which the next fork raises."""
+    yield from repeat(Branch.ONE_FIRST) if branches is None else branches
+    raise ConstructionError(
+        "branch list exhausted: the construction forked more often than choices were given")
 
 
 def _require_count(name: str, value: int, least: int = 1) -> None:
@@ -290,7 +275,10 @@ def construct_ramp_state(n: int, blocks: int,
                          branches: BranchSpec = None) -> ConstructionState:
     """Build ``blocks`` blocks from the ramp seed (1, 2, ..., n)."""
     _require_count("blocks", blocks)
-    return _run(init_ramp(n), lambda s: s.blocks < blocks, branches)
+    state, choices = init_ramp(n), _choices(branches)
+    while state.blocks < blocks:
+        _grow(state, choices)
+    return state
 
 
 def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[list[int]]:
@@ -303,10 +291,9 @@ def ramp_pieces(n: int, blocks: int, branches: BranchSpec = None) -> Iterator[li
     [[1, 2, 3], [1, 4, 2, 5, 3], [1, 6, 4, 2, 7, 5, 3], [1, 8, 6, 4, 2, 9, 7, 5, 3]]
     """
     _require_count("blocks", blocks)
-    # One iterator for every block, so that each block takes the next choices.
-    supply, state = None if branches is None else iter(branches), init_ramp(n)
+    state, choices = init_ramp(n), _choices(branches)
     while state.blocks < blocks:
-        _run(state, lambda s, b=state.blocks: s.blocks == b, supply)
+        _grow(state, choices)
         upper, lower, fresh = state.cursors
         yield state.terms[:upper]
         del state.terms[:upper]
@@ -372,12 +359,9 @@ def ramp_leaf(n: int, blocks: int, branches: Iterable[Branch]) -> tuple[list[Bra
     """
     _require_count("blocks", blocks)
     _require_count("n", n, 2)
-    (a, b), (c, d), path, choices = (n - 1, 1), (n, 1), [], iter(branches)
+    (a, b), (c, d), path, choices = (n - 1, 1), (n, 1), [], _choices(branches)
     while b + d < blocks:
-        branch = next(choices, None)
-        if branch is None:
-            raise ConstructionError(_EXHAUSTED)
-        path.append(branch)
+        path.append(branch := next(choices))
         if branch is Branch.ONE_FIRST:
             c, d = a + c, b + d
         else:
@@ -401,5 +385,7 @@ def construct_ones(n: int, length: int, branches: BranchSpec = None) -> list[int
     by a 2, so the seed needs no special-casing.
     """
     _require_count("length", length)
-    state = _run(init_ramp(n), lambda s: len(s.terms) < length, branches)
+    state, choices = init_ramp(n), _choices(branches)
+    while len(state.terms) < length:
+        _grow(state, choices)
     return rank_stream(state.terms[:length])

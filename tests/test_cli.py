@@ -209,16 +209,22 @@ class Discard:
         pass
 
 
+def traced_peak(argv, code=0):
+    """The peak of the memory tracemalloc traces while ``main(argv)`` runs;
+    it must exit with ``code``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_generate_memory_does_not_grow_with_count(monkeypatch):
     argv = ["generate", "--theta", "sqrt(13)", "--count", "400000"]
     monkeypatch.setattr(sys, "stdout", Discard())
     assert main(argv) == 0  # loads the modules before anything is traced
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(argv)
     # A list of the 400,000 terms alone would take about 40 MB.
     assert peak < 2 ** 20
 
@@ -342,12 +348,7 @@ def test_construct_branch_lists_near_the_fork_count(capsys, monkeypatch):
 def test_construct_memory_does_not_grow_with_blocks(monkeypatch, blocks, flag):
     monkeypatch.setattr(sys, "stdout", Discard())
     assert main(["construct", "--n", "2", "--blocks", "3"] + flag) == 0  # loads the modules
-    tracemalloc.start()
-    try:
-        assert main(["construct", "--n", "2", "--blocks", *blocks] + flag) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(["construct", "--n", "2", "--blocks", *blocks] + flag)
     # Holding the whole run peaked at 2 MiB (700 blocks, 246,050 terms) to
     # 36 MiB (1400 blocks, 982,100 terms, --type2), and at 5.4 MiB for a
     # --branches list of 16 choices at 1000 blocks (691,793 terms).
@@ -716,12 +717,7 @@ def test_folds_hold_the_input_and_little_more(monkeypatch, sqrt13_400k, argv, ed
     monkeypatch.setattr(sys, "stdin", stdin_bytes("1 2 3 4 1 5\n"))
     main(argv)  # loads the modules before anything is traced
     monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
-    tracemalloc.start()
-    try:
-        assert main(argv) == code
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(argv, code)
     # Parsing every term into one list first peaked at 12.5 MB (invert) to
     # 24 MB (check); a fold that kept the terms behind a failed trim's
     # cursor, at 13 MB on failing input.
@@ -737,12 +733,7 @@ def test_check_and_invert_memory_does_not_grow_with_the_input(
     for count in (100_000, 400_000):
         path = tmp_path / f"{count}.txt"
         path.write_bytes(b"".join(lines[:count]))
-        tracemalloc.start()
-        try:
-            assert main(argv + [str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(argv + [str(path)])
         # Reading all the bytes first peaked at 0.91 (check) and 0.80 MiB
         # (invert) at 10^5 terms, and at 2.21 and 2.04 MiB at 4*10^5.
         assert peak < 2 ** 20, (count, peak)

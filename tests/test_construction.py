@@ -329,9 +329,9 @@ def test_upper_cursor_stays_below_lower_cursor(policy):
     # ramp_pieces cuts at the upper cursor, so the lower one must stay in
     # the window: max > blocks, so len - max < len - blocks.
     for n in (2, 5, 9):
-        state, supply = init_ramp(n), None if policy is None else iter(policy)
+        state, choices = init_ramp(n), construction._choices(policy)
         while state.blocks < 300:
-            construction._run(state, lambda s, b=state.blocks: s.blocks == b, supply)
+            construction._grow(state, choices)
             upper, lower, fresh = state.cursors
             assert upper < lower and fresh - 1 > state.blocks, (n, state.blocks)
 
@@ -459,7 +459,7 @@ def with_fresh_values(woven, fresh):
 
 
 def assert_step_matches_procedure(state, branch):
-    """Grow one block as the drivers do, stopping first at its fork, and
+    """Grow one block as the drivers do, ``branch`` its one choice, and
     compare it with the carry plus the weave of the previous block."""
     plan = merge_seams(seam_below(state), seam_above(state), branch)
     replay = state.terms[_last_index(state.terms, 1):]
@@ -468,10 +468,10 @@ def assert_step_matches_procedure(state, branch):
     else:
         woven = scheduled_weave_forward(replay, state.n, -plan.offset)
     expected = list(plan.carry) + with_fresh_values(woven, max(state.terms + list(plan.carry)) + 1)
-    grown = len(state.terms)
-    if branch is not None:
-        assert not construction._grow(state, None)
-    assert construction._grow(state, branch)
+    grown, given = len(state.terms), [] if branch is None else [branch]
+    forks = len(state.branch_log)
+    construction._grow(state, construction._choices(given))
+    assert state.branch_log[forks:] == given
     assert state.terms[grown:] == expected, (state.n, state.blocks, branch)
     assert seam_above(state) == list(plan.merged)
     return plan.offset
@@ -511,14 +511,12 @@ def test_cursors_are_the_trim_lengths_after_every_block():
         extend_second_block(state)
         assert_cursors_are_the_trim_lengths(state)
         while state.blocks < 40:
-            if not construction._grow(state, None):
-                assert_cursors_are_the_trim_lengths(state)
-                branch = rng.choice([ONE, FRESH])
+            branch = rng.choice([ONE, FRESH])
+            if needs_branch(state):  # the other side of the fork
                 twin = copy.deepcopy(state)
+                construction._grow(twin, construction._choices([FRESH if branch is ONE else ONE]))
                 assert_cursors_are_the_trim_lengths(twin)
-                assert construction._grow(twin, FRESH if branch is ONE else ONE)
-                assert_cursors_are_the_trim_lengths(twin)
-                assert construction._grow(state, branch)
+            construction._grow(state, construction._choices([branch]))
             assert_cursors_are_the_trim_lengths(state)
 
 
@@ -537,8 +535,8 @@ def test_step_given_a_branch_refuses_a_second_fork():
     # lower trimming for the fresh value at every term, so each term forks.
     state = init_ramp(4)
     state.cursors = (0, 0, 2)
-    with pytest.raises(ConstructionError, match="a step forks twice, at term 6"):
-        construction._grow(state, FRESH)
+    with pytest.raises(ConstructionError, match="branch list exhausted"):
+        construction._grow(state, construction._choices([FRESH]))
 
 
 def test_state_is_built_from_its_seed_alone():
@@ -553,7 +551,7 @@ def test_forced_step_refuses_a_fork(monkeypatch):
     state = construct_ramp_state(4, 2)
     assert needs_branch(state)
     monkeypatch.setattr(construction, "merge_seams", lambda below, above, branch: None)
-    with pytest.raises(ConstructionError, match="block 3 forks though its merge is forced"):
+    with pytest.raises(ConstructionError, match="branch list exhausted"):
         extend_next_block(state)
 
 
@@ -586,20 +584,22 @@ def test_enumerate_no_fork_cases():
 
 
 def runs_fork_by_fork(n, blocks):
-    """Every run of ``blocks`` blocks, grown with _grow to each fork and
-    copied there, the ONE_FIRST copy explored first."""
+    """Every run of ``blocks`` blocks, grown step by step by the paper's
+    procedure and copied at each step that forks, the ONE_FIRST copy
+    explored first."""
     runs, stack = [], [init_ramp(n)]
     while stack:
         state = stack.pop()
-        while state.blocks < blocks and construction._grow(state, None):
-            pass
         if state.blocks == blocks:
             runs.append(state)
+        elif state.blocks == 1:
+            stack.append(extend_second_block(state))
+        elif needs_branch(state):
+            twin = copy.copy(state)  # the cursors are a tuple; the lists are copied
+            twin.terms, twin.branch_log = state.terms[:], state.branch_log[:]
+            stack += [extend_next_block(state, FRESH), extend_next_block(twin, ONE)]
         else:
-            twin = copy.deepcopy(state)
-            construction._grow(twin, ONE)
-            construction._grow(state, FRESH)
-            stack += [state, twin]
+            stack.append(extend_next_block(state))
     return runs
 
 

@@ -411,6 +411,33 @@ def test_the_stepper_allows_as_many_prefixes_as_the_farey_count():
     assert counts[60] == 262 and counts[150] == 812
 
 
+def check_leaf_intervals(top):
+    """For every N <= top, the intervals of the length-N prefixes that
+    next_terms allows tile (0, oo): sorted, the first is open at 0, each
+    ends where the next starts, the last is unbounded, and the interior
+    endpoints are exactly the coprime p/q with (p+1)(q+1) <= 2N.  Found
+    by computation, not proved."""
+    level = [[1]]
+    for n in range(1, top + 1):
+        intervals = sorted(map(theta_interval_from_prefix, level), key=lambda iv: iv.lo)
+        assert intervals[0].lo == 0 and not intervals[0].lo_closed, n
+        assert intervals[-1].hi is None, n
+        for left, right in zip(intervals, intervals[1:]):
+            assert left.hi == right.lo, (n, left, right)
+        cuts = {Fraction(p, q) for p in range(1, n) for q in range(1, 2 * n // (p + 1))
+                if gcd(p, q) == 1 and (p + 1) * (q + 1) <= 2 * n}
+        assert [iv.lo for iv in intervals[1:]] == sorted(cuts), n
+        level = [prefix + [v] for prefix in level
+                 for v in next_terms(*expected_next(prefix), max(prefix) + 1)]
+
+
+def test_the_allowed_prefixes_of_each_length_tile_theta():
+    # The leaves of the prefix tree at each depth N partition theta > 0 at
+    # the Farey-like fractions that the counts above predict.  CI runs
+    # check_leaf_intervals(150).
+    check_leaf_intervals(60)
+
+
 # --- Stern-Brocot cross-check -------------------------------------------------------
 
 def stern_brocot_witness(prefix, max_denominator=1000):
