@@ -24,11 +24,13 @@ the sequence, but for the forks.  So a run is named by its list of
 choices: :func:`ramp_leaves` lists every run's choices and length
 without growing any, :func:`ramp_leaf` finds one run's from its list of
 choices, and each run, one of every enumeration included, grows alone
-from the seed.  ``_grow`` grows one block and reads the Branch of each
-fork from one iterator of choices; when they run out, it raises the one
-``branch list exhausted`` error.  That the runs are the leaves
-of a Stern-Brocot tree was found and checked by computation; it is not
-proved here.
+from the seed.  Both walk down the tree by one descent, ``_descent``,
+which asks at each mediant which side to take: toward a leaf's end for
+``ramp_leaves``, by the next choice for ``ramp_leaf``.  ``_grow`` grows
+one block and reads the Branch of each fork from one iterator of
+choices; when they run out, it raises the one ``branch list exhausted``
+error.  That the runs are the leaves of a Stern-Brocot tree was found
+and checked by computation; it is not proved here.
 
 The paper explains a step as a merge of two "seam" windows, which both
 predict the stretch from the last closing n up to the next n+1.  Once a
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # check_doubly_fractal_prefix is unused here; perfbench/tracer.py looks up
 # construction.check_doubly_fractal_prefix.
@@ -252,7 +254,8 @@ def _grow(state: ConstructionState, choices: Iterator[Branch]) -> None:
 # Drivers: each grows whole blocks with _grow, by the two trims alone,
 # without the seam merge, while its stop condition holds, and takes the
 # next Branch of one _choices iterator at each fork.  ramp_leaves and
-# ramp_leaf name runs by their choices without growing one.
+# ramp_leaf name runs by their choices, down the one _descent of the
+# tree, without growing one.
 
 
 BranchSpec = Optional[Iterable[Branch]]
@@ -260,8 +263,11 @@ BranchSpec = Optional[Iterable[Branch]]
 
 def _choices(branches: BranchSpec) -> Iterator[Branch]:
     """The Branch of each fork in turn: ONE_FIRST at every fork for
-    None, else ``branches`` in order, after which the next fork raises."""
-    yield from repeat(Branch.ONE_FIRST) if branches is None else branches
+    None, else ``branches`` in order, after which the next fork raises.
+    Each choice is read as ``Branch(x)`` when its fork comes, so 0 and 1
+    mean what ``--branches`` means, and any other value raises Branch's
+    own ValueError."""
+    yield from repeat(Branch.ONE_FIRST) if branches is None else map(Branch, branches)
     raise ConstructionError(
         "branch list exhausted: the construction forked more often than choices were given")
 
@@ -332,41 +338,50 @@ def ramp_leaves(n: int, blocks: int) -> Iterator[tuple[Iterator[Branch], int]]:
         yield _fork_path(n, blocks, c, d), length
 
 
+def _descent(n: int, blocks: int,
+             side: Callable[[int, int], Branch]) -> Iterator[tuple[Branch, int, int]]:
+    """The one walk down the Stern-Brocot tree of :func:`ramp_leaves`, from
+    (n-1)/1 and n/1: while a mediant's denominator stays below ``blocks``,
+    ``side(p, q)`` is the Branch at the mediant p/q, ONE_FIRST keeping the
+    left part; each step yields that Branch and the next mediant."""
+    a, b, c, d = n - 1, 1, n, 1
+    while b + d < blocks:
+        branch = side(a + c, b + d)
+        a, b, c, d = (a, b, a + c, b + d) if branch is Branch.ONE_FIRST else (a + c, b + d, c, d)
+        yield branch, a + c, b + d
+
+
 def _fork_path(n: int, blocks: int, c: int, d: int) -> Iterator[Branch]:
-    """The choices down the tree of :func:`ramp_leaves` to the leaf that
+    """The choices down the tree to the leaf of :func:`ramp_leaves` that
     ends at c/d: ONE_FIRST where the leaf lies left of the mediant."""
-    low, high = (n - 1, 1), (n, 1)
-    while low[1] + high[1] < blocks:
-        mid = (low[0] + high[0], low[1] + high[1])
-        right = c * mid[1] > mid[0] * d
-        yield Branch(int(right))
-        low, high = (mid, high) if right else (low, mid)
+    # c and d reach the lambda as defaults: closure cells would be made
+    # for every path ramp_leaves yields, read or not.
+    yield from (branch for branch, _, _ in _descent(
+        n, blocks, lambda p, q, c=c, d=d: Branch(c * q > p * d)))
 
 
 def ramp_leaf(n: int, blocks: int, branches: Iterable[Branch]) -> tuple[list[Branch], int]:
     """The leaf of :func:`ramp_leaves` that ``branches`` walks down to, without
     growing its run: the choices the run takes, one per fork, and its length.
 
-    Each choice splits the interval of theta at its mediant, ONE_FIRST
-    keeping the left part, while the mediant's denominator stays below
-    ``blocks``; choices past the leaf are never read, as growth never
-    reads them.  Too few raise growth's own error.  In the leaf, of
-    mediant p/q, the run holds n*blocks terms plus the sum of
-    floor(m*p/q) over m < blocks.  That the walk takes the run's choices
-    and gives its length was checked by computation, not proved: against
-    runs grown for every leaf with n <= 9 and blocks <= 30, and for
-    random choice lists with n <= 9 and blocks <= 60.
+    The walk is ``_descent``, the one descent that :func:`ramp_leaves`'
+    paths also take, with the next choice as the side of each mediant,
+    ONE_FIRST the left, while the mediant's denominator stays below
+    ``blocks``.  Choices are read as growth reads them, each as a
+    Branch, and those past the leaf are never read; too few raise
+    growth's own error.  In the leaf, of mediant p/q, the run holds
+    n*blocks terms plus the sum of floor(m*p/q) over m < blocks.  That
+    the walk takes the run's choices and gives its length was checked by
+    computation, not proved: against runs grown for every leaf with
+    n <= 9 and blocks <= 30, and for random choice lists with n <= 9 and
+    blocks <= 60.
     """
     _require_count("blocks", blocks)
     _require_count("n", n, 2)
-    (a, b), (c, d), path, choices = (n - 1, 1), (n, 1), [], _choices(branches)
-    while b + d < blocks:
-        path.append(branch := next(choices))
-        if branch is Branch.ONE_FIRST:
-            c, d = a + c, b + d
-        else:
-            a, b = a + c, b + d
-    return path, n * blocks + sum(m * (a + c) // (b + d) for m in range(blocks))
+    path, p, q, choices = [], 2 * n - 1, 2, _choices(branches)
+    for branch, p, q in _descent(n, blocks, lambda p, q: next(choices)):
+        path.append(branch)
+    return path, n * blocks + sum(m * p // q for m in range(blocks))
 
 
 def enumerate_ramp(n: int, blocks: int) -> list[tuple[tuple[Branch, ...], list[int]]]:

@@ -1,5 +1,6 @@
 import copy
 import random
+from fractions import Fraction
 from itertools import chain, count
 from math import gcd
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractalseq import construction
-from fractalseq import (Branch, ConstructionError, ConstructionState,
-                        check_doubly_fractal_prefix, construct_ones,
+from fractalseq import (Branch, ConstructionError, ConstructionState, ThetaInterval,
+                        brute_force_signature, check_doubly_fractal_prefix, construct_ones,
                         construct_ramp_state, enumerate_ramp,
                         extend_next_block, extend_second_block,
                         generate_signature, init_ramp, lower_trim, merge_seams,
@@ -303,6 +304,25 @@ def test_construct_rejects_exhausted_branch_list():
         assert construct_ramp_state(n, 2, []).branch_log == []
         with pytest.raises(ConstructionError, match="branch list exhausted"):
             construct_ramp_state(n, 3, [])
+
+
+def test_branch_choices_are_read_as_branch_values():
+    # 0 and 1 mean ONE_FIRST and FRESH_FIRST, as they do after --branches,
+    # and are logged as Branch members; any other value is Branch's own
+    # ValueError at the fork that reads it, not a ConstructionError.
+    for bits in ([0, 0, 0], [0, 1]):
+        path = [Branch(bit) for bit in bits]
+        run, grown = construct_ramp_state(4, 5, path), construct_ramp_state(4, 5, bits)
+        assert grown.terms == run.terms and grown.branch_log == run.branch_log == path
+        assert list(chain.from_iterable(ramp_pieces(4, 5, bits))) == run.terms
+        assert construct_ones(4, len(run.terms), bits) == rank_stream(run.terms)
+        assert ramp_leaf(4, 5, bits) == (path, len(run.terms))
+    assert construct_ramp_state(4, 5, [0, 1]).terms == RAMP4_TERMS
+    for bad in (2, "0", None):
+        for call in (lambda: construct_ramp_state(4, 5, [bad]), lambda: ramp_leaf(4, 5, [bad]),
+                     lambda: list(ramp_pieces(4, 5, [bad])), lambda: construct_ones(4, 52, [bad])):
+            with pytest.raises(ValueError, match="is not a valid Branch"):
+                call()
 
 
 @given(st.integers(2, 9), st.integers(1, 60),
@@ -625,6 +645,48 @@ def test_a_leaf_is_the_run_of_its_path(n, blocks, data):
     run = construct_ramp_state(n, blocks, path)
     assert run.branch_log == list(path) and len(run.terms) == length
     assert ramp_leaf(n, blocks, list(path)) == (list(path), length)
+
+
+def farey_gaps(n, blocks):
+    """The gaps between consecutive fractions of [n-1, n] with denominators
+    below ``blocks`` (up to 1 when ``blocks`` is 1 or 2), left to right:
+    listed from all p/q, apart from the package's tree walks."""
+    order = max(blocks - 1, 1)
+    ends = sorted({Fraction(p, q) for q in range(1, order + 1)
+                   for p in range((n - 1) * q, n * q + 1)})
+    return list(zip(ends, ends[1:]))
+
+
+def check_leaf_runs(top_n, top_blocks, brute_terms=0):
+    """Two facts, found by computation and not proved, for every leaf of
+    ramp_leaves with n <= top_n and blocks <= top_blocks.  The run is the
+    signature of its leaf's mediant p/q, to the length ramp_leaf gives
+    (and brute_force_signature agrees on runs of up to ``brute_terms``
+    terms).  The run's ranks, what --type2 prints, invert to the
+    reciprocal of the run's own interval [lo, hi]: [1/hi, 1/lo], open at
+    0 for the one-block run, whose interval is unbounded."""
+    for n in range(2, top_n + 1):
+        for blocks in range(1, top_blocks + 1):
+            leaves, gaps = list(ramp_leaves(n, blocks)), farey_gaps(n, blocks)
+            assert len(leaves) == len(gaps), (n, blocks)
+            for (path, _), (lo, hi) in zip(leaves, gaps):
+                path = list(path)
+                theta = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+                run = construct_ramp_state(n, blocks, path).terms
+                length = ramp_leaf(n, blocks, path)[1]
+                assert [t.value for t in generate_signature(theta, length)] == run, (n, path)
+                if length <= brute_terms:
+                    assert [t.value for t in brute_force_signature(theta, length)] == run
+                iv = theta_interval_from_prefix(run)
+                assert theta_interval_from_prefix(rank_stream(run)) == ThetaInterval(
+                    Fraction(0) if iv.hi is None else 1 / iv.hi, iv.hi_closed,
+                    1 / iv.lo, iv.lo_closed), (n, path)
+
+
+def test_a_run_is_the_signature_of_its_leaf_mediant():
+    # All 680 leaves with n <= 6 and blocks <= 11, brute force on the 109
+    # runs of up to 60 terms.  CI runs check_leaf_runs(9, 24, 200).
+    check_leaf_runs(6, 11, 60)
 
 
 def test_enumerated_outcomes_regenerate_from_interval_witnesses():
