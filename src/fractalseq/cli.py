@@ -40,7 +40,10 @@ start-up.  Handlers read names from ``signature``, ``construction`` and
 ``inverse`` as attributes of this module (``_cli.parse_theta``): a name
 bound here is the one called, and an unbound one comes from the module
 ``__getattr__``, which serves exactly the package's ``__all__`` and loads
-a name's module on first use.
+a name's module on first use.  ``invert`` calls ``inverse._bounds``, the
+integer fold, and prints through ``inverse._text``, the formatter of
+``ThetaInterval.__str__``: it builds no ``Fraction``, so neither
+``fractions`` nor ``decimal`` (about 0.4 MB of max-RSS) loads.
 """
 from __future__ import annotations
 
@@ -200,13 +203,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    # The fold takes an iterator, and a name rebound on this module may take lists only.
-    from .inverse import theta_interval_from_prefix
-    interval = theta_interval_from_prefix(chain.from_iterable(_parsed_slices(args.input)))
-    print(interval)
-    if args.expect_nonempty and interval.is_empty:
-        return 1
-    return 0
+    # The fold's integers and their text: no Fraction, so neither fractions nor decimal loads.
+    from .inverse import _bounds, _text
+    bounds = _bounds(chain.from_iterable(_parsed_slices(args.input)))
+    print(_text(bounds))
+    return 1 if args.expect_nonempty and bounds is None else 0
 
 
 def _cmd_diverge(args) -> int:

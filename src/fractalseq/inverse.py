@@ -19,7 +19,11 @@ unbounded above.
 
 Bounds are kept as integer pairs (num, den) with den > 0 and compared
 by cross-multiplying, in one pass that counts ranks as it goes and one
-over the frontier; ``Fraction``s appear only in the result.
+over the frontier.  This fold, ``_bounds``, decides EMPTY in integers
+too, and ``_text`` writes an interval's text from integers, so ``invert``
+builds no ``Fraction``: importing ``fractions`` loads ``decimal``, about
+0.4 MB of max-RSS.  ``fractions`` is imported only by the functions that
+build the library's results.
 
 All bounds are emitted closed, because every inequality above is weak.
 A closed endpoint may still fail to regenerate the prefix when the tie
@@ -29,7 +33,8 @@ not the bound flag, is the arbiter at endpoints.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
+from math import gcd
+from numbers import Rational  # not Fraction: annotations resolve without loading fractions
 from typing import Iterable, NamedTuple, Optional
 
 # annotate_ranks is unused here; perfbench/tracer.py looks up inverse.annotate_ranks.
@@ -40,12 +45,13 @@ class ThetaInterval(NamedTuple):
     """An interval of parameters with exact rational endpoints.
 
     ``hi`` is None when unbounded above.  The lower endpoint is always
-    finite (every interval lives inside theta > 0).
+    finite (every interval lives inside theta > 0).  The library's
+    endpoints are ``Fraction``s, but for ``EMPTY_INTERVAL``'s ints 1 and 0.
     """
 
-    lo: Fraction
+    lo: Rational
     lo_closed: bool
-    hi: Optional[Fraction]
+    hi: Optional[Rational]
     hi_closed: bool
 
     @property
@@ -75,9 +81,10 @@ class ThetaInterval(NamedTuple):
         c = compare_with_rational(theta, self.hi)
         return c < 0 or (c == 0 and self.hi_closed)
 
-    def witness(self) -> Optional[Fraction]:
+    def witness(self) -> Optional[Rational]:
         """A rational representative: the midpoint when bounded, the
         point itself when degenerate, None when empty."""
+        from fractions import Fraction
         if self.is_empty:
             return None
         if self.hi is None:
@@ -103,19 +110,38 @@ class ThetaInterval(NamedTuple):
 
     def __str__(self) -> str:
         if self.is_empty:
-            return "EMPTY"
-        left = "[" if self.lo_closed else "("
-        if self.hi is None:
-            return f"{left}{self.lo}, oo)"
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo}, {self.hi}{right}"
+            return _text(None)
+        hi = (1, 0) if self.hi is None else (self.hi.numerator, self.hi.denominator)
+        return _text((self.lo.numerator, self.lo.denominator, *hi), self.lo_closed, self.hi_closed)
 
 
-EMPTY_INTERVAL = ThetaInterval(Fraction(1), False, Fraction(0), False)
+# Ints, so that no Fraction is built; they compare and hash as Fraction(1) and Fraction(0) do.
+EMPTY_INTERVAL = ThetaInterval(1, False, 0, False)
 
 
-def _interval(lo: Fraction, lo_closed: bool,
-              hi: Optional[Fraction], hi_closed: bool) -> ThetaInterval:
+def _text(bounds: Optional[tuple[int, int, int, int]],
+          lo_closed: Optional[bool] = None, hi_closed: bool = True) -> str:
+    """The text of ``_bounds``' result, for ``invert`` and ``ThetaInterval.__str__``:
+    EMPTY for None, else lo_n/lo_d and hi_n/hi_d (``oo`` when hi_d is 0)
+    in lowest terms, as ``str`` of a ``Fraction`` writes them.  Unless the
+    flags say otherwise, the lower bound is closed exactly when it is
+    above 0 and the upper one always, as ``_bounds`` gives them."""
+    if bounds is None:
+        return "EMPTY"
+    lo_n, lo_d, hi_n, hi_d = bounds
+    left = "[" if (lo_n > 0 if lo_closed is None else lo_closed) else "("
+    right = f"{_ratio(hi_n, hi_d)}{']' if hi_closed else ')'}" if hi_d else "oo)"
+    return f"{left}{_ratio(lo_n, lo_d)}, {right}"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, d > 0, and n alone when that leaves d at 1."""
+    g = gcd(n, d)
+    return f"{n // g}" if d == g else f"{n // g}/{d // g}"
+
+
+def _interval(lo: Rational, lo_closed: bool,
+              hi: Optional[Rational], hi_closed: bool) -> ThetaInterval:
     iv = ThetaInterval(lo, lo_closed, hi, hi_closed)
     return EMPTY_INTERVAL if iv.is_empty else iv
 
@@ -128,6 +154,20 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
     module notes).  ``terms`` may be any iterable; it is read once, to the
     end, even after EMPTY is certain, and every term must be >= 1.
     """
+    from fractions import Fraction
+    bounds = _bounds(terms)
+    if bounds is None:
+        return EMPTY_INTERVAL
+    lo_n, lo_d, hi_n, hi_d = bounds
+    return ThetaInterval(Fraction(lo_n, lo_d), lo_n > 0,
+                         Fraction(hi_n, hi_d) if hi_d else None, hi_d > 0)
+
+
+def _bounds(terms: Iterable[int]) -> Optional[tuple[int, int, int, int]]:
+    """The interval of ``theta_interval_from_prefix`` as (lo_n, lo_d, hi_n,
+    hi_d), with lo_d > 0 and hi_d 0 when unbounded above, or None when
+    EMPTY.  The lower bound is closed exactly when lo_n > 0 and the upper
+    one whenever it is finite."""
     terms = iter(terms)
     # lo = lo_n/lo_d starts at 0/1, open until first tightened; hi = 1/0
     # is unbounded, and any candidate r/q with q > 0 compares below it.
@@ -154,7 +194,7 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
     if min(counts) < 1 or min(terms, default=1) < 1:
         raise ValueError("terms must be >= 1")
     if empty:
-        return EMPTY_INTERVAL
+        return None
 
     w = 1                   # the least missing value
     while w in counts:
@@ -169,10 +209,11 @@ def theta_interval_from_prefix(terms: Iterable[int]) -> ThetaInterval:
             if dv * lo_d < lo_n * dj:        # dv/dj > lo, with dj < 0
                 lo_n, lo_d = -dv, -dj
         elif dv < 0:
-            return EMPTY_INTERVAL
-
-    return _interval(Fraction(lo_n, lo_d), lo_n > 0,
-                     Fraction(hi_n, hi_d) if hi_d else None, hi_d > 0)
+            return None
+    # Crossed bounds: no theta > 0 has lo <= theta <= hi.
+    if hi_d and (hi_n <= 0 or lo_n * hi_d > hi_n * lo_d):
+        return None
+    return lo_n, lo_d, hi_n, hi_d
 
 
 class SegmentKind(Enum):
@@ -188,6 +229,7 @@ def seed_interval(n: int, kind: SegmentKind) -> ThetaInterval:
     RAMP, the segment (1, 2, ..., n, 1): theta in [n-1, n].
     ONES, the segment (1 x n, 2): theta in [1/n, 1/(n-1)].
     """
+    from fractions import Fraction
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need n >= 2, got {n!r}")
     if kind is SegmentKind.RAMP:

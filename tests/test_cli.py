@@ -1136,6 +1136,31 @@ def test_invert_folds_past_a_name_rebound_for_lists(capsys, monkeypatch):
     assert run_cli(capsys, monkeypatch, ["invert"], "1 2 3 4 1 5\n") == (0, "[3, 4]\n", "")
 
 
+INVERT_BUILDS_NO_FRACTION = """
+import sys
+from fractalseq import cli
+codes = [cli.main(["invert", path]) for path in sys.argv[1:]]
+sys.stdout.flush()
+assert codes == [0, 0] and not {"fractions", "decimal"} & set(sys.modules), codes
+from fractions import Fraction
+from fractalseq import EMPTY_INTERVAL, theta_interval_from_prefix
+iv = theta_interval_from_prefix([1, 2, 3, 4, 1, 5])
+assert type(iv.lo) is Fraction and type(iv.hi) is Fraction, iv
+assert theta_interval_from_prefix([1, 3]) is EMPTY_INTERVAL
+"""
+
+
+def test_invert_prints_its_interval_without_loading_fractions(tmp_path):
+    # A fresh interpreter: pytest's own plugins load decimal.
+    paths = [tmp_path / "prefix.txt", tmp_path / "empty.txt"]
+    paths[0].write_text(" ".join(map(str, SQRT13_PREFIX)))
+    paths[1].write_text("1 3\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", INVERT_BUILDS_NO_FRACTION, *map(str, paths)],
+                          capture_output=True, text=True, env=SRC_ENV, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{theta_interval_from_prefix(SQRT13_PREFIX)}\nEMPTY\n"
+
+
 def test_cli_serves_exactly_the_public_names():
     assert all(getattr(cli, name) is getattr(fractalseq, name) for name in fractalseq.__all__)
     for name in ("no_such_name", "__path__", "_MODULE_OF", "import_module"):
@@ -1173,12 +1198,12 @@ ARGPARSE = {"argparse", "gettext", "shutil"}
     (["check"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
     (["trim", "--upper"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
     (["construct", "--n", "4"], "", ARGPARSE | {"fractions"}),
-    (["invert"], "1 2 3 4 1 5\n", ARGPARSE),
+    (["invert"], "1 2 3 4 1 5\n", ARGPARSE | {"fractions"}),
     (["diverge", "sqrt(2)", "3/2"], "", ARGPARSE),
     (["generate", "--theta", "7/2", "--count", "5", "--json"], "", ARGPARSE),
     (["construct", "--n", "3", "--blocks", "4", "--enumerate", "--type2"], "",
      ARGPARSE | {"fractions"}),
-    (["invert", "--expect-nonempty"], "1 3\n", ARGPARSE),
+    (["invert", "--expect-nonempty"], "1 3\n", ARGPARSE | {"fractions"}),
     (["check"], "1 2 3 3\n", ARGPARSE | {"fractions"}),
     (["generate", "--theta=-1+2*sqrt(7)", "--count", "5", "--bfile"], "", ARGPARSE),
     (["generate", "--help"], "", set()),

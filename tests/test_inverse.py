@@ -4,7 +4,7 @@ from itertools import accumulate
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fractalseq import (EMPTY_INTERVAL, SegmentKind, Surd, ThetaInterval,
                         annotate_ranks, check_doubly_fractal_prefix, first_divergence,
@@ -15,6 +15,7 @@ from fractalseq.seqcore import check_doubly_fractal_slices, next_terms
 
 from conftest import make_theta_sample
 from fixtures import DIVERGENCE_7_2_VS_SQRT13, RAMP4_INTERVAL, RAMP4_TERMS
+from test_cli import run_cli
 
 SQRT13 = Surd.sqrt(13)
 
@@ -155,10 +156,15 @@ def assert_matches_fraction_oracle(prefix):
     return got
 
 
+# capsys and monkeypatch hold nothing from one example to the next: run_cli reads and resets both.
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=14))
-@settings(max_examples=300, deadline=None)
-def test_integer_pairs_match_fraction_oracle(prefix):
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_integer_pairs_match_fraction_oracle(capsys, monkeypatch, prefix):
     assert_matches_fraction_oracle(prefix)
+    want = fraction_interval_from_prefix(prefix)
+    assert run_cli(capsys, monkeypatch, ["invert", "--expect-nonempty"], " ".join(map(str, prefix))
+                   ) == (int(want.is_empty), f"{want}\n", "")
 
 
 def signature_prefixes_with_faults(seed=41):
@@ -178,12 +184,16 @@ def signature_prefixes_with_faults(seed=41):
                 yield prefix[:k] + [prefix[k] + bump] + prefix[k + 1:]
 
 
-def test_integer_pairs_match_fraction_oracle_on_signatures():
-    ivs = [assert_matches_fraction_oracle(p) for p in signature_prefixes_with_faults()]
+def test_integer_pairs_match_fraction_oracle_on_signatures(capsys, monkeypatch):
+    prefixes = list(signature_prefixes_with_faults())
+    ivs = [assert_matches_fraction_oracle(p) for p in prefixes]
     assert any(iv.is_empty for iv in ivs)
     assert any(iv.hi is None for iv in ivs)
     assert any(iv.is_point for iv in ivs)
     assert any(iv.lo_closed and iv.lo > 0 for iv in ivs)
+    assert [run_cli(capsys, monkeypatch, ["invert", "--expect-nonempty"], " ".join(map(str, p)))
+            for p in prefixes] == [(int(want.is_empty), f"{want}\n", "")
+                                   for want in map(fraction_interval_from_prefix, prefixes)]
 
 
 def assert_iterator_form_agrees(prefix):

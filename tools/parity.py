@@ -91,6 +91,10 @@ def build_inputs(rng: random.Random) -> dict[str, bytes]:
     n = 5  # the ramp seed and its second block, in closed form
     inputs["ramp-5"] = lines([*range(1, n + 1), 1,
                               *(v for i in range(1, n) for v in (n + i, i + 1))])
+    inputs.update({  # one per shape of interval and per route to EMPTY, as invert prints it
+        "interval-open-lo": b"1 1\n", "interval-closed": b"1 1 2\n", "interval-point": b"1 2 1 2\n",
+        "empty-frontier-tie": b"2\n", "empty-adjacency-tie": b"2 1\n", "empty-crossed": b"2 2\n",
+        "ramp-3000-unbounded": lines(list(range(1, 3001)))})
     for name, terms in prefixes.items():  # faulty prefixes, at seeded places
         k = rng.randrange(1, len(terms) - 1)
         while terms[k] == terms[k + 1]:
