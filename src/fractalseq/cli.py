@@ -36,14 +36,18 @@ of max-RSS, to read an argv that takes microseconds.  Any other argv
 same table, so help, messages and exit codes stay argparse's.
 
 Only ``seqcore`` loads eagerly, as a command is mostly interpreter
-start-up.  Handlers read names from ``signature``, ``construction`` and
-``inverse`` as attributes of this module (``_cli.parse_theta``): a name
-bound here is the one called, and an unbound one comes from the module
-``__getattr__``, which serves exactly the package's ``__all__`` and loads
-a name's module on first use.  ``invert`` calls ``inverse._bounds``, the
-integer fold, and prints through ``inverse._text``, the formatter of
-``ThetaInterval.__str__``: it builds no ``Fraction``, so neither
-``fractions`` nor ``decimal`` (about 0.4 MB of max-RSS) loads.
+start-up.  ``construct`` reads names from ``construction`` as attributes
+of this module (``_cli.ramp_pieces``): a name bound here is the one
+called, and an unbound one comes from the module ``__getattr__``, which
+serves exactly the package's ``__all__`` and loads a name's module on
+first use.  ``generate``, ``diverge`` and ``invert`` import private names
+of their module when they run, and build no ``Fraction``, so no command
+loads ``fractions`` or with it ``decimal`` (about 0.4 MB of max-RSS).
+``generate`` and ``diverge`` hold theta as the four integers (a, b, d, c)
+of (a + b*sqrt(d))/c: ``signature._theta`` parses it, ``signature._runs``
+generates from it and ``signature._diverge`` compares two of them.
+``invert`` calls ``inverse._bounds``, the integer fold, and prints through
+``inverse._text``, the formatter of ``ThetaInterval.__str__``.
 """
 from __future__ import annotations
 
@@ -138,7 +142,8 @@ def _emit(lines: Iterable[str]) -> None:
 
 def _cmd_generate(args) -> int:
     _require_within_cap(args.count, "count")
-    runs = _cli.signature_runs(_cli.parse_theta(args.theta))
+    from .signature import _runs, _theta  # theta as four integers: no Fraction is built
+    runs = _runs(*_theta(args.theta))
     terms = islice(chain.from_iterable(zip(v, r) for v, r in runs), args.count)
     if args.json:
         _emit(f'{{"index":{h},"value":{v},"rank":{r}}}\n'
@@ -212,8 +217,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_diverge(args) -> int:
     _require_within_cap(args.max, "--max")
-    index = _cli.first_divergence(_cli.parse_theta(args.theta1), _cli.parse_theta(args.theta2),
-                                  args.max)
+    from .signature import _diverge, _theta
+    index = _diverge(_theta(args.theta1), _theta(args.theta2), args.max)
     print(index if index is not None else "NONE")
     return 0
 

@@ -5,32 +5,41 @@ in nondecreasing order; the stream of i-components is the signature of
 theta, and the j-components are exactly the occurrence ranks.
 
 theta is either a ``fractions.Fraction`` or a :class:`Surd`, an exact
-quadratic irrational (a + b*sqrt(d))/c.  Every comparison in this module
-is decided by integer arithmetic (sign analysis plus one squaring step
-for surds); floating point is never consulted.  Distinct parameters that
-are arbitrarily close still separate correctly, no matter how deep in
-the sequence the first differing term lies.
+quadratic irrational (a + b*sqrt(d))/c.  Inside this module every theta
+is four integers (a, b, d, c), the value (a + b*sqrt(d))/c with c >= 1; a
+rational is b = d = 0.  One integer formula decides each question for
+both kinds: the sign of de + df*theta is ``surd_sign(de*c + df*a, df*b,
+d)`` (sign analysis plus one squaring step), and floor(x*theta) is
+x*a // c or, for b != 0, one ``isqrt``.  Floating point is never
+consulted, so distinct parameters that are arbitrarily close still
+separate correctly, no matter how deep in the sequence the first
+differing term lies.
 
 Ties happen exactly when theta is rational.  Equal values are emitted
 with the larger i-component first; the listings this module is tested
 against fix that order.
 
-The generator, :func:`signature_runs`, yields the sequence in runs: a
-list of values and a list of ranks each, with no object per term.  Row
-k of the block view holds the m in (floor(k*theta), floor((k+1)*theta)],
-so every row holds floor(theta) or floor(theta)+1 of them, and every
-block splits into the same floor(theta)+2 runs, each one pass over the
-rows.  :func:`generate_signature` and the CLI read the terms off the runs,
-and :func:`first_divergence` streams the runs of two parameters.
+The generator yields the sequence in runs: a list of values and a list
+of ranks each, with no object per term.  Row k of the block view holds
+the m in (floor(k*theta), floor((k+1)*theta)], so every row holds
+floor(theta) or floor(theta)+1 of them, and every block splits into the
+same floor(theta)+2 runs, each one pass over the rows.
+:func:`generate_signature` and the CLI read the terms off the runs, and
+:func:`first_divergence` streams the runs of two parameters.
+
+The CLI calls the private parser, generator and divergence test on the
+four integers and builds no ``Fraction``: importing ``fractions`` loads
+``decimal``, about 0.4 MB of max-RSS.  ``fractions`` is imported only by
+the functions that build a ``Fraction``.
 """
 from __future__ import annotations
 
 import math
 import re
 from bisect import insort
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, count, islice
+from numbers import Rational  # not Fraction: annotations resolve without loading fractions
 from typing import Iterator, Optional, Union
 
 from .seqcore import AnnotatedTerm
@@ -41,7 +50,7 @@ def _sign(x: int) -> int:
 
 
 def surd_sign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for d >= 2 not a square.
+    """Exact sign of a + b*sqrt(d) for b = 0 or d >= 2 not a square.
 
     When a and b have opposite signs the comparison reduces to a*a
     versus b*b*d, which cannot be a draw: equality would make sqrt(d)
@@ -57,6 +66,29 @@ def surd_sign(a: int, b: int, d: int) -> int:
         return -1
     t = a * a - b * b * d
     return _sign(t) if a > 0 else -_sign(t)
+
+
+def _normal(a: int, b: int, d: int, c: int) -> tuple[int, int, int, int]:
+    """(a + b*sqrt(d))/c as four integers with c >= 1 and no common factor;
+    a rational, a square radicand included, has b = d = 0."""
+    if c == 0:
+        raise ZeroDivisionError("denominator is zero")
+    if d < 0:
+        raise ValueError("negative radicand")
+    r = math.isqrt(d)
+    if r * r == d or b == 0:
+        a, b, d = a + b * r, 0, 0
+    g = math.gcd(a, b, c) * _sign(c)  # c's sign, so that c // g >= 1
+    return a // g, b // g, d, c // g
+
+
+def _key(a: int, b: int, d: int, c: int) -> tuple[int, int, int, int]:
+    # The rational part a/c and the signed square b*|b|*d/c^2 of the rest, each in lowest
+    # terms.  Equal values have equal rational parts, since x*sqrt(d1) - y*sqrt(d2) is never
+    # a nonzero rational when neither d1 nor d2 is a square.
+    s, cc = b * abs(b) * d, c * c
+    g, h = math.gcd(a, c), math.gcd(s, cc)
+    return a // g, c // g, s // h, cc // h
 
 
 class Surd:
@@ -96,36 +128,21 @@ class Surd:
     def __reduce__(self):
         return Surd, (self.a, self.b, self.d, self.c)
 
-    def _key(self) -> tuple[Fraction, Fraction]:
-        # The rational part and the signed square of b*sqrt(d)/c.  Equal
-        # values have equal rational parts, since x*sqrt(d1) - y*sqrt(d2)
-        # is never a nonzero rational when neither d1 nor d2 is a square.
-        return (Fraction(self.a, self.c),
-                Fraction(self.b * abs(self.b) * self.d, self.c * self.c))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Surd):
             return NotImplemented
-        return self._key() == other._key()
+        return _key(*_parts(self)) == _key(*_parts(other))
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(_key(*_parts(self)))
 
     @staticmethod
     def make(a: int, b: int, d: int, c: int = 1) -> "ExactNumber":
-        if c == 0:
-            raise ZeroDivisionError("denominator is zero")
-        if d < 0:
-            raise ValueError("negative radicand")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        r = math.isqrt(d)
-        if r * r == d:
-            return Fraction(a + b * r, c)
-        if b == 0:
-            return Fraction(a, c)
-        g = math.gcd(a, b, c)
-        return Surd(a // g, b // g, d, c // g)
+        a, b, d, c = _normal(a, b, d, c)
+        if b:
+            return Surd(a, b, d, c)
+        from fractions import Fraction
+        return Fraction(a, c)
 
     @staticmethod
     def sqrt(d: int) -> "ExactNumber":
@@ -146,27 +163,30 @@ class Surd:
         return body if self.c == 1 else f"({body})/{self.c}"
 
 
-ExactNumber = Union[Fraction, Surd]
+ExactNumber = Union[Rational, Surd]
+
+
+def _parts(theta) -> tuple[int, int, int, int]:
+    """The four integers (a, b, d, c) of an int, a Fraction or a Surd."""
+    if isinstance(theta, Surd):
+        return theta.a, theta.b, theta.d, theta.c
+    if isinstance(theta, Rational):
+        return theta.numerator, 0, 0, theta.denominator
+    raise TypeError(f"not an exact number: {theta!r}")
 
 
 def as_exact(theta) -> ExactNumber:
     """Coerce int/Fraction/Surd to an ExactNumber."""
-    if isinstance(theta, Surd):
-        return theta
-    if isinstance(theta, (int, Fraction)):
-        return Fraction(theta)
-    raise TypeError(f"not an exact number: {theta!r}")
+    return theta if isinstance(theta, Surd) else Surd.make(*_parts(theta))
 
 
 def theta_sign(theta: ExactNumber) -> int:
-    if isinstance(theta, Fraction):
-        return _sign(theta.numerator)
-    return surd_sign(theta.a, theta.b, theta.d)
+    return surd_sign(*_parts(theta)[:3])
 
 
-def _require_positive(theta: ExactNumber) -> None:
-    if theta_sign(theta) <= 0:
-        raise ValueError("theta must be positive")
+def _compare(i1: int, j1: int, i2: int, j2: int, a: int, b: int, d: int, c: int) -> int:
+    # (i1 - i2) + (j1 - j2)*theta has the sign of c times it.
+    return surd_sign((i1 - i2) * c + (j1 - j2) * a, (j1 - j2) * b, d)
 
 
 def compare_affine(i1: int, j1: int, i2: int, j2: int, theta) -> int:
@@ -175,14 +195,10 @@ def compare_affine(i1: int, j1: int, i2: int, j2: int, theta) -> int:
     Returns -1, 0, or 1 as the first form is less than, equal to, or
     greater than the second.  Equality requires a rational theta.
     """
-    theta = as_exact(theta)
-    de, df = i1 - i2, j1 - j2
-    if isinstance(theta, Fraction):
-        return _sign(de * theta.denominator + df * theta.numerator)
-    return surd_sign(de * theta.c + df * theta.a, df * theta.b, theta.d)
+    return _compare(i1, j1, i2, j2, *_parts(theta))
 
 
-def compare_with_rational(theta: ExactNumber, r: Fraction) -> int:
+def compare_with_rational(theta: ExactNumber, r: Rational) -> int:
     """Exact sign of theta - r: the sign of v*theta - u for r = u/v."""
     return compare_affine(0, r.denominator, r.numerator, 0, theta)
 
@@ -191,14 +207,41 @@ def compare_with_rational(theta: ExactNumber, r: Fraction) -> int:
 # Generation
 
 
-def _floor_times(x: int, theta: ExactNumber) -> int:
+def _floor_times(x: int, a: int, b: int, d: int, c: int) -> int:
     """Exact floor(x*theta) for an integer x >= 1."""
-    if isinstance(theta, Fraction):
-        return x * theta.numerator // theta.denominator
+    if b == 0:
+        return x * a // c
     # x*b*sqrt(d) is irrational for x >= 1: its floor is isqrt(x*x*b*b*d)
     # for b > 0 and -isqrt(x*x*b*b*d) - 1 for b < 0.
-    r = math.isqrt(x * x * theta.b * theta.b * theta.d)
-    return (x * theta.a + (r if theta.b > 0 else -r - 1)) // theta.c
+    r = math.isqrt(x * x * b * b * d)
+    return (x * a + (r if b > 0 else -r - 1)) // c
+
+
+def _runs(a: int, b: int, d: int, c: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The runs of :func:`signature_runs` for theta = (a + b*sqrt(d))/c."""
+    if surd_sign(a, b, d) <= 0:
+        raise ValueError("theta must be positive")
+    # Pair u = (m, k) has key m - k*theta; equal keys put the larger m first.
+    by_key = cmp_to_key(lambda u, v: _compare(u[0], -u[1], v[0], -v[1], a, b, d, c) or v[0] - u[0])
+    short = _floor_times(1, a, b, d, c)  # pairs in a short row
+
+    def blocks() -> Iterator[tuple[list[int], list[int]]]:
+        rows: list[tuple[int, int]] = []  # (first m, k), by first key
+        longs = lo = 0  # longs counts the long rows, which come first
+        for j in count(1):
+            hi = _floor_times(j, a, b, d, c)
+            if hi > lo:
+                insort(rows, (lo + 1, j - 1), key=by_key)
+                longs += hi - lo > short
+            lo = hi
+            yield [1], [j]
+            firsts = [m for m, _ in rows]
+            ranks = [j - k for _, k in rows]
+            for t in range(1, short + 1):
+                yield [m + t for m in firsts], ranks
+            yield [m + short + 1 for m in firsts[:longs]], ranks[:longs]
+
+    return blocks()
 
 
 def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
@@ -225,29 +268,7 @@ def signature_runs(theta) -> Iterator[tuple[list[int], list[int]]]:
     number however large theta is.  The full runs of a block share one
     ranks list, so a caller must not modify a run.
     """
-    theta = as_exact(theta)
-    _require_positive(theta)
-    by_key = cmp_to_key(lambda u, v: (compare_affine(u[0], -u[1], v[0], -v[1], theta)
-                                      or v[0] - u[0]))
-    short = _floor_times(1, theta)  # pairs in a short row
-
-    def blocks() -> Iterator[tuple[list[int], list[int]]]:
-        rows: list[tuple[int, int]] = []  # (first m, k), by first key
-        longs = lo = 0  # longs counts the long rows, which come first
-        for j in count(1):
-            hi = _floor_times(j, theta)
-            if hi > lo:
-                insort(rows, (lo + 1, j - 1), key=by_key)
-                longs += hi - lo > short
-            lo = hi
-            yield [1], [j]
-            firsts = [m for m, _ in rows]
-            ranks = [j - k for _, k in rows]
-            for t in range(1, short + 1):
-                yield [m + t for m in firsts], ranks
-            yield [m + short + 1 for m in firsts[:longs]], ranks[:longs]
-
-    return blocks()
+    return _runs(*_parts(theta))
 
 
 def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
@@ -258,22 +279,26 @@ def generate_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     return list(islice(chain.from_iterable(map(AnnotatedTerm, v, r) for v, r in runs), n_terms))
 
 
+def _diverge(t1: tuple, t2: tuple, max_terms: int) -> Optional[int]:
+    """:func:`first_divergence` of two parameters given as four integers each."""
+    if _key(*t1) == _key(*t2):
+        raise ValueError("parameters must be distinct")
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    v1, v2 = (chain.from_iterable(v for v, _ in _runs(*t)) for t in (t1, t2))
+    for h, (x, y) in enumerate(islice(zip(v1, v2), max_terms), start=1):
+        if x != y:
+            return h
+    return None
+
+
 def first_divergence(theta1, theta2, max_terms: int) -> Optional[int]:
     """Smallest 1-based index where two signatures differ.
 
     Distinct parameters always diverge eventually; ``max_terms`` bounds
     the search, and None reports agreement through that horizon.
     """
-    t1, t2 = as_exact(theta1), as_exact(theta2)
-    if t1 == t2:
-        raise ValueError("parameters must be distinct")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
-    v1, v2 = (chain.from_iterable(v for v, _ in signature_runs(t)) for t in (t1, t2))
-    for h, (x, y) in enumerate(islice(zip(v1, v2), max_terms), start=1):
-        if x != y:
-            return h
-    return None
+    return _diverge(_parts(theta1), _parts(theta2), max_terms)
 
 
 def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
@@ -285,11 +310,12 @@ def brute_force_signature(theta, n_terms: int) -> list[AnnotatedTerm]:
     sort uses :func:`compare_affine` with the same tie rule as the lazy
     generator but shares none of its block machinery.
     """
-    theta = as_exact(theta)
-    _require_positive(theta)
+    a, b, d, c = _parts(theta)
+    if surd_sign(a, b, d) <= 0:
+        raise ValueError("theta must be positive")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    V = _floor_times(1, theta) + 3  # any start above theta; V doubles until full
+    V = _floor_times(1, a, b, d, c) + 3  # any start above theta; V doubles until full
     while True:
         pairs: list[tuple[int, int]] = []
         j = 1
@@ -318,11 +344,39 @@ _SURD_PAREN_RE = re.compile(rf"\(\s*{_SURD_INNER}\s*\)\s*/\s*(?P<c>\d+)", re.ASC
 _SURD_BARE_RE = re.compile(rf"{_SURD_INNER}(?:\s*/\s*(?P<c>\d+))?", re.ASCII)
 
 
-def _denominator(digits: str | None) -> int:
-    c = int(digits) if digits else 1
+def _theta(text: str) -> tuple[int, int, int, int]:
+    """The four integers of the positive parameter ``text`` writes, as
+    :func:`parse_theta` reads it."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty theta expression")
+    if _DECIMAL_RE.fullmatch(s):
+        raise ValueError(f"decimal theta {s!r} not supported; use p/q or (a+b*sqrt(d))/c")
+
+    if "sqrt" not in s:
+        m = _RATIONAL_RE.fullmatch(s)
+        if not m:
+            raise ValueError(f"malformed theta expression: {text!r}")
+        a, b, d, c = int(m.group(1)), 0, 0, m.group(2)
+    else:
+        m = _SURD_PAREN_RE.fullmatch(s) or _SURD_BARE_RE.fullmatch(s)
+        if not m:
+            raise ValueError(f"malformed theta expression: {text!r}")
+        if m.group("a") is not None and m.re is _SURD_BARE_RE and m.group("c"):
+            raise ValueError(f"ambiguous theta {text!r}: parenthesize as (a+b*sqrt(d))/c")
+        a = int(m.group("a")) if m.group("a") else 0
+        b = int(m.group("b")) if m.group("b") else 1
+        if m.group("op") == "-":
+            b = -b
+        d, c = int(m.group("d")), m.group("c")
+    c = int(c) if c else 1
     if c == 0:
         raise ValueError("zero denominator")
-    return c
+    a, b, d, c = _normal(a, b, d, c)
+
+    if surd_sign(a, b, d) <= 0:
+        raise ValueError(f"theta must be positive: {text!r}")
+    return a, b, d, c
 
 
 def parse_theta(text: str) -> ExactNumber:
@@ -331,34 +385,7 @@ def parse_theta(text: str) -> ExactNumber:
     Accepted forms: ``7``, ``13/2``, ``sqrt(13)``, ``3*sqrt(2)``,
     ``1+sqrt(2)``, ``sqrt(13)/2``, ``(1+2*sqrt(5))/3``.  Decimal
     notation is rejected: a float cannot say which exact number it
-    means, and nearby parameters have different signatures.
+    means, and nearby parameters have different signatures.  A rational,
+    ``sqrt(4)`` included, is a ``Fraction``; any other value a :class:`Surd`.
     """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty theta expression")
-    if _DECIMAL_RE.fullmatch(s):
-        raise ValueError(
-            f"decimal theta {s!r} not supported; use p/q or (a+b*sqrt(d))/c")
-
-    if "sqrt" not in s:
-        m = _RATIONAL_RE.fullmatch(s)
-        if not m:
-            raise ValueError(f"malformed theta expression: {text!r}")
-        value: ExactNumber = Fraction(int(m.group(1)), _denominator(m.group(2)))
-    else:
-        m = _SURD_PAREN_RE.fullmatch(s) or _SURD_BARE_RE.fullmatch(s)
-        if not m:
-            raise ValueError(f"malformed theta expression: {text!r}")
-        if m.group("a") is not None and m.re is _SURD_BARE_RE and m.group("c"):
-            raise ValueError(
-                f"ambiguous theta {text!r}: parenthesize as (a+b*sqrt(d))/c")
-        a = int(m.group("a")) if m.group("a") else 0
-        b = int(m.group("b")) if m.group("b") else 1
-        if m.group("op") == "-":
-            b = -b
-        value = Surd.make(a, b, int(m.group("d")), _denominator(m.group("c")))
-
-    if theta_sign(value) <= 0:
-        raise ValueError(f"theta must be positive: {text!r}")
-    return value
-
+    return Surd.make(*_theta(text))

@@ -1102,12 +1102,13 @@ def test_tracer_reads_every_cli_name_before_main():
     assert proc.stdout == "11 []\n"
 
 
+# A dotted name is a private name that the handler imports from its module when it runs.
 @pytest.mark.parametrize("name, argv, stdin", [
-    ("parse_theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
-    ("signature_runs", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
+    ("signature._theta", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
+    ("signature._runs", ["generate", "--theta", "sqrt(13)", "--count", "3"], ""),
     ("ramp_pieces", ["construct", "--n", "4"], ""),
     ("parse_terms", ["invert"], "1 2 3 4 1 5\n"),
-    ("first_divergence", ["diverge", "sqrt(2)", "3/2"], ""),
+    ("signature._diverge", ["diverge", "sqrt(2)", "3/2"], ""),
     ("parse_terms", ["check"], "1 2 1 3\n"),
     ("upper_trim", ["trim", "--upper"], "1 2 1 3\n"),
     ("lower_trim", ["trim", "--lower"], "1 2 1 3\n"),
@@ -1116,13 +1117,15 @@ def test_tracer_reads_every_cli_name_before_main():
     ("ramp_leaf", ["construct", "--n", "4", "--blocks", "5", "--branches", "0,1"], ""),
 ])
 def test_main_keeps_a_rebound_name(capsys, monkeypatch, name, argv, stdin):
-    real, calls = getattr(cli, name), []
+    owner, _, name = name.rpartition(".")
+    module = getattr(fractalseq, owner) if owner else cli
+    real, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(module, name, counting)
     code, _, err = run_cli(capsys, monkeypatch, argv, stdin)
     assert (code, err) == (0, "") and calls
 
@@ -1174,9 +1177,10 @@ before = set(sys.modules)
 sys.argv = ["fractalseq"] + sys.argv[1:]
 try:
     runpy.run_module("fractalseq", run_name="__main__")
-except SystemExit:
-    pass
+except SystemExit as exc:
+    code = exc.code
 sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
 """
 
 
@@ -1193,21 +1197,29 @@ MODULES_OF = {"generate": CORE | {"fractalseq.signature"}, "check": CORE, "trim"
 ARGPARSE = {"argparse", "gettext", "shutil"}
 
 
+# No command builds a Fraction: importing fractions loads decimal.
+NO_FRACTION = {"fractions", "decimal"}
+# Equal parameters, refused in integers: exit 2 and nothing on stdout.
+REFUSED = ["diverge", "7/2", "14/4"]
+
+
 @pytest.mark.parametrize("argv, stdin, absent", [
-    (["generate", "--theta", "sqrt(13)", "--count", "5"], "", ARGPARSE),
+    (["generate", "--theta", "sqrt(13)", "--count", "5"], "", ARGPARSE | NO_FRACTION),
     (["check"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
     (["trim", "--upper"], "1 2 1 3\n", ARGPARSE | {"fractions"}),
     (["construct", "--n", "4"], "", ARGPARSE | {"fractions"}),
     (["invert"], "1 2 3 4 1 5\n", ARGPARSE | {"fractions"}),
-    (["diverge", "sqrt(2)", "3/2"], "", ARGPARSE),
-    (["generate", "--theta", "7/2", "--count", "5", "--json"], "", ARGPARSE),
+    (["diverge", "sqrt(2)", "3/2"], "", ARGPARSE | NO_FRACTION),
+    (["generate", "--theta", "7/2", "--count", "5", "--json"], "", ARGPARSE | NO_FRACTION),
     (["construct", "--n", "3", "--blocks", "4", "--enumerate", "--type2"], "",
      ARGPARSE | {"fractions"}),
     (["invert", "--expect-nonempty"], "1 3\n", ARGPARSE | {"fractions"}),
     (["check"], "1 2 3 3\n", ARGPARSE | {"fractions"}),
-    (["generate", "--theta=-1+2*sqrt(7)", "--count", "5", "--bfile"], "", ARGPARSE),
+    (["generate", "--theta=-1+2*sqrt(7)", "--count", "5", "--bfile"], "",
+     ARGPARSE | NO_FRACTION),
     (["generate", "--help"], "", set()),
     (["generate", "--cou", "3", "--theta", "2"], "", set()),
+    (REFUSED, "", ARGPARSE | NO_FRACTION),
 ])
 def test_each_command_loads_only_what_it_runs(argv, stdin, absent):
     # -S keeps site hooks of the environment out of the picture.
@@ -1217,7 +1229,10 @@ def test_each_command_loads_only_what_it_runs(argv, stdin, absent):
     # --help exits before the handler loads its module.
     modules = CORE if "--help" in argv else MODULES_OF[argv[0]]
     assert {m for m in loaded if m.startswith("fractalseq")} == modules
-    assert proc.stdout
+    if argv == REFUSED:
+        assert (proc.returncode, proc.stdout) == (2, "")
+    else:
+        assert proc.stdout
     assert not loaded & ({"dataclasses", "inspect"} | absent)
     if not absent & ARGPARSE:  # a row that argparse reads
         assert ARGPARSE <= loaded

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from fractalseq import (Surd, annotate_ranks, brute_force_signature,
                         check_doubly_fractal_prefix, compare_affine,
                         generate_signature, parse_theta, signature_runs)
-from fractalseq.signature import as_exact, compare_with_rational, surd_sign
+from fractalseq.signature import (_floor_times, _parts, as_exact, compare_with_rational,
+                                  surd_sign, theta_sign)
 
 from conftest import make_theta_sample
 from fixtures import ONE_SEVENTH_PREFIX, SQRT13_PREFIX
@@ -186,6 +187,50 @@ def test_compare_with_rational():
     assert compare_with_rational(SQRT13, Fraction(4)) < 0
     assert compare_with_rational(Fraction(7, 2), Fraction(7, 2)) == 0
     assert compare_with_rational(Surd.make(1, 1, 2, 2), Fraction(6, 5)) > 0
+
+
+def oracle(a, b, d, c, de, df, x):
+    """sign(de + df*theta) and floor(x*theta) for theta = (a + b*sqrt(d))/c, apart from
+    the package: Fraction arithmetic for a rational theta, else 80-digit decimal."""
+    r = math.isqrt(d)
+    if b == 0 or r * r == d:
+        theta = Fraction(a + b * r, c)
+        value = de + df * theta
+        return (value > 0) - (value < 0), math.floor(x * theta)
+    with decimal.localcontext() as ctx:
+        # Nonzero values here exceed 1e-6, and x*theta is 1e-9 or more from an integer.
+        ctx.prec = 80
+        theta = (decimal.Decimal(a) + b * decimal.Decimal(d).sqrt()) / c
+        value = de + df * theta
+        return (value > 0) - (value < 0), int((x * theta).to_integral_value(decimal.ROUND_FLOOR))
+
+
+@given(st.integers(-20, 20), st.integers(-30, 30),
+       st.one_of(st.sampled_from([0, 1, 4, 9, 144, 400]), st.integers(2, 400)),
+       st.integers(1, 30), st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 10 ** 4))
+def test_integer_comparison_and_floor_match_an_oracle_apart_from_the_package(a, b, d, c,
+                                                                           de, df, x):
+    # The generator and brute_force_signature share this comparison, so only an oracle
+    # apart from the package can catch a fault in it.
+    theta = Surd.make(a, b, d, c)
+    sign, floor = oracle(a, b, d, c, de, df, x)
+    assert compare_affine(de, df, 0, 0, theta) == sign
+    assert compare_affine(3, 0, 3 + de, df, theta) == -sign
+    assert theta_sign(theta) == oracle(a, b, d, c, 0, 1, 1)[0]
+    assert _floor_times(x, *_parts(theta)) == floor
+    # floor <= x*theta < floor + 1: the comparisons nearest to a tie.
+    assert compare_affine(floor, 0, 0, x, theta) <= 0 < compare_affine(floor + 1, 0, 0, x, theta)
+    if isinstance(theta, Surd):  # never equal to a Fraction, however close
+        near = Fraction(floor, x)
+        assert theta != near and near != theta and theta != Fraction(a, c)
+    else:
+        assert type(theta) is Fraction and theta == Fraction(a + b * math.isqrt(d), c)
+
+
+def test_a_square_radicand_parses_to_a_fraction():
+    for text, value in [("sqrt(4)", 2), ("(1+sqrt(9))/2", 2), ("2*sqrt(9)/3", 2)]:
+        theta = parse_theta(text)
+        assert type(theta) is Fraction and theta == value
 
 
 # --- generation --------------------------------------------------------------

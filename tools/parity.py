@@ -164,6 +164,11 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
     for theta in ["abc", "0", "-1", "1.5", "sqrt(-2)", "1/0", "sqrt(4)", "", "(1+sqrt(5))/0",
                   "sqrt(13)/2/3", "1+sqrt(2)/3"]:
         cases.append(Case(("generate", "--theta", theta, "--count", "5")))
+    # Signs, spaces, square radicands that collapse to rationals, and values that are not
+    # positive, however written.
+    for theta in ["+7", " 13 / 2 ", "(1+sqrt(9))/2", "2*sqrt(9)/3", "(-1+sqrt(2))/1",
+                  "(3-sqrt(9))/2", "(6-2*sqrt(9))/4", "sqrt(0)", "-7/2"]:
+        cases.append(Case(("generate", f"--theta={theta}", "--count", "6")))
 
     for n in ("2", "3", "4", "5"):
         for blocks in ("1", "2", "3", "6"):
@@ -195,7 +200,9 @@ def build_corpus(rng: random.Random, inputs: dict[str, bytes]) -> list[Case]:
 
     for pair in [("sqrt(13)", "7/2"), ("sqrt(2)", "3/2"), ("2", "3"), ("1/7", "1/8"),
                  ("(1+sqrt(5))/2", "8/5"), ("sqrt(8)", "2*sqrt(2)"), ("7/2", "14/4"),
-                 ("sqrt(2)", "sqrt(3)"), ("sqrt(13)", "abc")]:
+                 ("sqrt(2)", "sqrt(3)"), ("sqrt(13)", "abc"), ("sqrt(4)", "2"),
+                 ("(1+sqrt(9))/2", "2"), ("sqrt(12)", "2*sqrt(3)"), ("1/7", "2/14"),
+                 ("sqrt(2)", "(2+sqrt(2))/2")]:
         cases.append(Case(("diverge", *pair), quick=pair == ("sqrt(13)", "7/2")))
     cases += [Case(("diverge", "sqrt(13)", "3605551/1000000", "--max", "1000")),
               Case(("diverge", "sqrt(13)", "7/2", "--max", "56")),
